@@ -109,32 +109,56 @@ def smallest_eigenvectors(matrix: np.ndarray, count: int) -> np.ndarray:
     return vecs[:, :count]
 
 
-def _kmeans_pp_centers(rows: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding; all draws go through `rng` index choices."""
+# the Lloyd distance array is built in blocks of rows holding at most this
+# many elements (256 KB of float64), so at large L * M the temporary stays in
+# cache instead of being mapped afresh on every iteration
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _kmeans_pp_centers(rows: np.ndarray, M: int, rngs: list) -> np.ndarray:
+    """k-means++ seeding of every restart at once; returns (R, M, d) centers.
+
+    Restart r draws from `rngs[r]` alone, in the order of a seeding on its
+    own: `integers(n)` for the first center, then for each further center one
+    draw weighted by the squared distance d2 to the nearest center so far, or
+    `integers(n)` when every row already coincides with a center.  The
+    weighted draw is made as `Generator.choice(n, p=d2 / total)` makes it
+    (normalised cumulative sum, one `random()`, a right-sided search), so it
+    returns the same index and leaves the Generator in the same state.
+    """
     n = rows.shape[0]
-    centers = np.empty((M, rows.shape[1]))
-    centers[0] = rows[int(rng.integers(n))]
-    d2 = ((rows - centers[0]) ** 2).sum(axis=1)
-    for m in range(1, M):
-        total = d2.sum()
-        if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(n))  # all remaining rows coincide with a center
-        centers[m] = rows[idx]
-        d2 = np.minimum(d2, ((rows - centers[m]) ** 2).sum(axis=1))
+    centers = np.empty((len(rngs), M, rows.shape[1]))
+    idx = np.array([rng.integers(n) for rng in rngs])
+    centers[:, 0] = rows[idx]
+    d2 = ((rows[None, :, :] - centers[:, :1, :]) ** 2).sum(axis=2)
+    # a zero total makes its restart's cdf 0/0; that restart does not read it
+    with np.errstate(invalid="ignore"):
+        for m in range(1, M):
+            totals = d2.sum(axis=1)
+            cdf = (d2 / totals[:, None]).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            for r, rng in enumerate(rngs):
+                if totals[r] > 0.0:
+                    idx[r] = cdf[r].searchsorted(rng.random(), side="right")
+                else:
+                    idx[r] = rng.integers(n)  # all remaining rows coincide with a center
+            centers[:, m] = rows[idx]
+            d2 = np.minimum(d2, ((rows[None, :, :] - centers[:, m:m + 1, :]) ** 2).sum(axis=2))
     return centers
 
 
-def _lloyd(rows: np.ndarray, M: int, rng: np.random.Generator,
-           max_iters: int, tol: float):
-    n = rows.shape[0]
-    centers = _kmeans_pp_centers(rows, M, rng)
+def _lloyd(rows: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
+    n, M = rows.shape[0], centers.shape[0]
+    block = max(1, _BLOCK_ELEMENTS // centers.size)
+    d2 = np.empty((n, M))
     labels = np.zeros(n, dtype=np.int64)
     sse_prev = np.inf
     sse = np.inf
     for _ in range(max_iters):
-        d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        # each row's distances are reduced on their own, so blocking is exact
+        for lo in range(0, n, block):
+            part = rows[lo:lo + block]
+            d2[lo:lo + block] = ((part[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         counts = np.bincount(labels, minlength=M)
         # an emptied cluster steals the point lying farthest from its own
@@ -146,8 +170,11 @@ def _lloyd(rows: np.ndarray, M: int, rng: np.random.Generator,
             counts[labels[worst]] -= 1
             labels[worst] = m
             counts[m] = 1
-        for m in range(M):
-            centers[m] = rows[labels == m].mean(axis=0)
+        # add.at sums each group in row order, as mean(axis=0) of the group's
+        # rows does when they have two or more columns
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, rows)
+        centers = sums / counts[:, None]
         sse = float(((rows - centers[labels]) ** 2).sum())
         if np.isfinite(sse_prev) and abs(sse_prev - sse) <= tol * max(sse_prev, 1e-12):
             break
@@ -165,20 +192,29 @@ def kmeans_rows(rows: np.ndarray, M: int, restarts: int = 10, max_iters: int = 1
                 tol: float = 1e-9, seed=0) -> np.ndarray:
     """Cluster rows into M nonempty groups, best of `restarts` k-means++ runs.
 
-    Each restart runs Lloyd iterations to convergence (relative SSE change
-    below `tol`) or `max_iters`; the run with the lowest SSE wins and ties
-    keep the earliest restart.  Deterministic given (rows, seed).
+    The k-means++ seeding of all restarts runs as one batch, each restart
+    drawing from its own Generator in its own order, with weighted draws that
+    replicate `Generator.choice` (see `_kmeans_pp_centers`).  Each restart
+    then runs Lloyd iterations to convergence (relative SSE change below
+    `tol`) or `max_iters`; the run with the lowest SSE wins and ties keep the
+    earliest restart.  Deterministic given (rows, seed).  Rows must be
+    finite, with squared distances that do not overflow.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("expected a 2-d row matrix")
     if not 1 <= M <= rows.shape[0]:
         raise ValueError("cluster count must lie in [1, number of rows]")
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = rows.max(axis=0) - rows.min(axis=0)
+        spread = rows.shape[0] * (span @ span)   # bounds every squared distance and SSE
+    if not np.isfinite(spread):
+        raise ValueError("rows must be finite, with squared distances that do not overflow")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rngs = [np.random.default_rng(_restart_seed(root, r)) for r in range(restarts)]
     best_labels, best_sse = None, np.inf
-    for r in range(restarts):
-        rng = np.random.default_rng(_restart_seed(root, r))
-        labels, sse = _lloyd(rows, M, rng, max_iters, tol)
+    for centers in _kmeans_pp_centers(rows, M, rngs):
+        labels, sse = _lloyd(rows, centers, max_iters, tol)
         if sse < best_sse:
             best_labels, best_sse = labels, sse
     return best_labels

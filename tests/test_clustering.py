@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cfnet import clustering
 from cfnet.channel import RadioParams, channel_gains
 from cfnet.clustering import (Partition, SpectralConfig, blended_laplacian,
                               initial_partition, kmeans_rows,
@@ -149,6 +150,161 @@ def test_kmeans_handles_all_identical_rows():
 def test_kmeans_rejects_bad_cluster_count():
     with pytest.raises(ValueError):
         kmeans_rows(np.ones((3, 2)), 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_rows(bad):
+    rows = np.ones((6, 2))
+    rows[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kmeans_rows(rows, 3, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        kmeans_rows(rows, 1, seed=0)
+
+
+def test_kmeans_rejects_rows_whose_squared_distances_overflow():
+    with pytest.raises(ValueError, match="overflow"):
+        kmeans_rows(np.array([[0.0], [1e200], [2e200]]), 2, seed=0)
+
+
+# Reference k-means: one restart at a time, seeded with Generator.choice draws,
+# centroids from a per-cluster mean.  The library must give the same labels,
+# and per restart the same SSE.
+
+def _ref_kmeans_pp_centers(rows, M, rng):
+    n = rows.shape[0]
+    centers = np.empty((M, rows.shape[1]))
+    centers[0] = rows[int(rng.integers(n))]
+    d2 = ((rows - centers[0]) ** 2).sum(axis=1)
+    for m in range(1, M):
+        total = d2.sum()
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[m] = rows[idx]
+        d2 = np.minimum(d2, ((rows - centers[m]) ** 2).sum(axis=1))
+    return centers
+
+
+def _ref_lloyd(rows, M, rng, max_iters, tol):
+    n = rows.shape[0]
+    centers = _ref_kmeans_pp_centers(rows, M, rng)
+    labels = np.zeros(n, dtype=np.int64)
+    sse_prev = np.inf
+    sse = np.inf
+    for _ in range(max_iters):
+        d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        counts = np.bincount(labels, minlength=M)
+        for m in np.flatnonzero(counts == 0):
+            fit = d2[np.arange(n), labels].copy()
+            fit[counts[labels] <= 1] = -1.0
+            worst = int(np.argmax(fit))
+            counts[labels[worst]] -= 1
+            labels[worst] = m
+            counts[m] = 1
+        for m in range(M):
+            centers[m] = rows[labels == m].mean(axis=0)
+        sse = float(((rows - centers[labels]) ** 2).sum())
+        if np.isfinite(sse_prev) and abs(sse_prev - sse) <= tol * max(sse_prev, 1e-12):
+            break
+        sse_prev = sse
+    return labels, sse
+
+
+def _ref_restart_rng(root, restart):
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=root.entropy, spawn_key=root.spawn_key + (restart,)))
+
+
+def _ref_kmeans_rows(rows, M, restarts=10, max_iters=100, tol=1e-9, seed=0):
+    rows = np.asarray(rows, dtype=float)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    best_labels, best_sse = None, np.inf
+    for r in range(restarts):
+        labels, sse = _ref_lloyd(rows, M, _ref_restart_rng(root, r), max_iters, tol)
+        if sse < best_sse:
+            best_labels, best_sse = labels, sse
+    return best_labels
+
+
+def kmeans_fuzz_inputs():
+    """(rows, M, seed) covering the shapes and degeneracies k-means meets.
+
+    Rows have at least two columns, or one column with M = 1: numpy's mean
+    of a single column sums pairwise, not in row order, and the pipeline's
+    embeddings have M columns.
+    """
+    rng = np.random.default_rng(2024)
+    for i in range(120):
+        n = int(rng.integers(2, 40))
+        m = (1, n, int(rng.integers(2, n + 1)))[i % 3]
+        rows = rng.normal(size=(n, int(rng.integers(2, 12))))
+        if i % 4 == 1:
+            rows[: n // 2] = rows[0]      # duplicate rows
+        elif i % 4 == 2:
+            rows = np.round(rows)         # many ties between distances
+        yield rows, m, int(rng.integers(1 << 31))
+    # all rows equal: every distance ties, so the empty-cluster repair runs
+    for m in (1, 2, 5):
+        yield np.full((6, 3), 0.25), m, m
+    yield np.ones((5, 1)), 1, 3
+    for g0, g1, alpha, m, _ in small_pipeline_runs():
+        blend = blended_laplacian(g1.laplacian, g0.laplacian, alpha)
+        yield smallest_eigenvectors(blend, m), m, 17
+
+
+def test_kmeans_matches_reference_implementation():
+    for rows, m, seed in kmeans_fuzz_inputs():
+        assert np.array_equal(kmeans_rows(rows, m, seed=seed),
+                              _ref_kmeans_rows(rows, m, seed=seed))
+    # a short iteration budget stops restarts before they converge
+    rows, m, seed = np.random.default_rng(3).normal(size=(30, 4)), 6, 5
+    assert np.array_equal(kmeans_rows(rows, m, max_iters=2, seed=seed),
+                          _ref_kmeans_rows(rows, m, max_iters=2, seed=seed))
+
+
+def lloyd_runs(restarts=3):
+    """Per restart of every fuzz input: rows, the batched seeding's centers,
+    the library's (labels, sse) from them and the reference's (labels, sse)."""
+    root = np.random.SeedSequence(5)
+    for rows, m, _ in kmeans_fuzz_inputs():
+        rngs = [_ref_restart_rng(root, r) for r in range(restarts)]
+        for r, centers in enumerate(clustering._kmeans_pp_centers(rows, m, rngs)):
+            yield (rows, centers, clustering._lloyd(rows, centers, 100, 1e-9),
+                   _ref_lloyd(rows, m, _ref_restart_rng(root, r), 100, 1e-9))
+
+
+def test_lloyd_matches_reference_restart_by_restart():
+    # an equal SSE shows the centroids agree to the last bit, not only the labels
+    for _, _, (labels, sse), (ref_labels, ref_sse) in lloyd_runs():
+        assert np.array_equal(labels, ref_labels)
+        assert sse == ref_sse
+
+
+def test_lloyd_row_blocks_match_one_block(monkeypatch):
+    runs = list(lloyd_runs(restarts=1))
+    for budget in (1, 40):   # one row a block, and blocks of a few rows
+        monkeypatch.setattr(clustering, "_BLOCK_ELEMENTS", budget)
+        for rows, centers, (labels, sse), _ in runs:
+            blocked_labels, blocked_sse = clustering._lloyd(rows, centers, 100, 1e-9)
+            assert np.array_equal(blocked_labels, labels)
+            assert blocked_sse == sse
+
+
+def test_batched_seeding_replays_generator_choice():
+    # the weighted draw replicates Generator.choice(n, p=...): the same rows
+    # are picked and every Generator ends in the same state.  A numpy release
+    # that changes how choice draws fails here.
+    root = np.random.SeedSequence(99)
+    for rows, m, _ in kmeans_fuzz_inputs():
+        rngs = [_ref_restart_rng(root, r) for r in range(4)]
+        centers = clustering._kmeans_pp_centers(rows, m, rngs)
+        for r, rng in enumerate(rngs):
+            ref_rng = _ref_restart_rng(root, r)
+            assert np.array_equal(centers[r], _ref_kmeans_pp_centers(rows, m, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------- pipeline

@@ -145,6 +145,51 @@ def test_alpha_one_branch_matches_benchmark_replay():
             rate_of(gains, bench, radio))
 
 
+def assert_same_records(recs1, recs2):
+    assert len(recs1) == len(recs2)
+    for r1, r2 in zip(recs1, recs2):
+        assert r1.sum_rate == r2.sum_rate
+        assert r1.temporal_smoothness == r2.temporal_smoothness
+        assert r1.handovers == r2.handovers
+        assert r1.zfbf_sum_rate == r2.zfbf_sum_rate
+        assert np.array_equal(r1.per_user_rates, r2.per_user_rates)
+
+
+def test_alpha_zero_reuse_is_exact():
+    # alone on the grid, alpha = 0 clusters every step after the first itself;
+    # beside alpha = 1 it reuses that branch's labels from the step before
+    for i in range(2):
+        trials = [run_trial(dataclasses.replace(SMALL, alpha_grid=grid, time_steps=5),
+                            trial_seed(SMALL.master_seed, i),
+                            keep_snapshots=True, snapshot_alpha=0.0)
+                  for grid in ((0.0,), (0.0, 1.0), (1.0, 0.0))]
+        lone = trials[0]
+        for trial in trials[1:]:
+            assert_same_records(lone.records[0],
+                                trial.records[trial.alpha_grid.index(0.0)])
+            assert len(trial.snapshots) == len(lone.snapshots) == 5
+            for (t1, _, labels1, users1), (t2, _, labels2, users2) in zip(
+                    lone.snapshots, trial.snapshots):
+                assert t1 == t2
+                assert np.array_equal(labels1, labels2)
+                assert np.array_equal(users1, users2)
+
+
+def test_alpha_zero_reuses_previous_alpha_one_clustering(monkeypatch):
+    from cfnet import clustering
+    calls = []
+    original = clustering.kmeans_rows
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "kmeans_rows", counting)
+    cfg = dataclasses.replace(SMALL, alpha_grid=(0.0, 1.0), time_steps=5)
+    run_trial(cfg, trial_seed(cfg.master_seed, 0))
+    assert len(calls) == 5  # the bootstrap and alpha = 1 at steps 1-4
+
+
 def test_snapshot_alpha_must_be_on_grid():
     with pytest.raises(ConfigError):
         run_trial(SMALL, trial_seed(7, 0), keep_snapshots=True, snapshot_alpha=0.123)
