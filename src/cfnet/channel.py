@@ -33,10 +33,6 @@ class ChannelGains:
     includes_fading: bool = False
 
     @property
-    def num_users(self) -> int:
-        return self.gains.shape[0]
-
-    @property
     def num_bs(self) -> int:
         return self.gains.shape[1]
 
@@ -75,13 +71,6 @@ def channel_gains(layout: "Layout", params: RadioParams, fading_seed=None) -> Ch
     return ChannelGains(gains=np.abs(h) ** 2, includes_fading=True)
 
 
-def best_bs(gains: ChannelGains, k: int) -> int:
-    """Index of the strongest BS for user k; ties go to the lowest index."""
-    if not 0 <= k < gains.num_users:
-        raise ValueError(f"user index {k} out of range")
-    return int(np.argmax(gains.gains[k]))
-
-
 def per_user_sinr(gains: ChannelGains, partition: "Partition", params: RadioParams) -> np.ndarray:
     """Interference-limited SINR of every user under a partition.
 
@@ -103,15 +92,6 @@ def per_user_sinr(gains: ChannelGains, partition: "Partition", params: RadioPara
     return r * strongest / (r * interference + 1.0)
 
 
-def sinr_approx(gains: ChannelGains, partition: "Partition", k: int, params: RadioParams) -> float:
-    """SINR of a single user; see per_user_sinr."""
-    if not 0 <= k < gains.num_users:
-        raise ValueError(f"user index {k} out of range")
-    if partition.user_assignment.shape[0] != gains.num_users:
-        raise ValueError("user is not assigned in the partition")
-    return float(per_user_sinr(gains, partition, params)[k])
-
-
 def user_rate(sinr):
     """Achievable rate log2(1 + sinr) in bits/s/Hz (scalar or array)."""
     return np.log2(1.0 + sinr)
@@ -129,7 +109,3 @@ def sum_rate(gains: ChannelGains, partition: "Partition", params: RadioParams) -
     """
     return float(per_user_rates(gains, partition, params).sum())
 
-
-def write_gains_csv(gains: ChannelGains, path) -> None:
-    """Dump the gain matrix, one row per user, for debugging."""
-    np.savetxt(path, gains.gains, delimiter=",", fmt="%.9g")

@@ -7,10 +7,9 @@ import sys
 import numpy as np
 
 from . import harness, oracle
-from .channel import channel_gains
-from .graph import build_graph, sum_cut
+from .clustering import Partition, SpectralConfig, temporal_smoothed_partition
+from .graph import sum_cut
 from .harness import ConfigError, ExperimentConfig
-from .topology import generate_layout, step_waypoint
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -58,50 +57,38 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_trial(args) -> int:
     config = _resolve_config(args)
+    if args.trial_index < 0:
+        raise ConfigError("--trial-index must be at least 0")
     snapshot_alpha = None
     if args.snapshot_alpha is not None:
-        snapshot_alpha = float(args.snapshot_alpha)
+        try:
+            snapshot_alpha = float(args.snapshot_alpha)
+        except ValueError:
+            raise ConfigError(
+                f"--snapshot-alpha is not a number: {args.snapshot_alpha!r}") from None
     seed = harness.trial_seed(config.master_seed, args.trial_index)
     trial = harness.run_trial(config, seed, keep_snapshots=True,
                               snapshot_alpha=snapshot_alpha)
-    kpis = harness.trial_kpi_means(trial)
     single = dataclasses.replace(config, realizations=1)
-    result = harness.ExperimentResult(
-        config=single, trials=[trial],
-        kpi_means={k: v[None, :] for k, v in kpis.items()})
+    result = harness.ExperimentResult(config=single, trials=[trial])
     for path in harness.emit_outputs(result, single):
         print(path)
     return _EXIT_OK
 
 
 def _cmd_oracle_check(args) -> int:
-    """Certify the pipeline against brute force on random small instances."""
-    budget = oracle.EnumerationBudget()
-    rng = np.random.default_rng(args.seed)
-    alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
+    """Certify the pipeline against brute force on the C2 instance family."""
     worst_ratio = 0.0
     trace_ok = quality_ok = True
-    for i in range(args.instances):
-        num_bs = int(rng.integers(4, budget.max_vertices + 1))
-        num_users = int(rng.integers(2, 13))
-        groups = int(rng.integers(2, budget.max_subnetworks + 1))
-        alpha = alphas[i % len(alphas)]
-        config = ExperimentConfig(K=num_users, L=num_bs, M=groups)
-        base = np.random.SeedSequence(args.seed, spawn_key=(i,))
-        layout = generate_layout(num_users, num_bs, harness.derive_stream(base, 0))
-        radio = config.radio_params()
-        graph_prev = build_graph(channel_gains(layout, radio))
-        moved = step_waypoint(layout, config.mobility_params(),
-                              harness.derive_stream(base, 1))
-        graph_t = build_graph(channel_gains(moved, radio))
-
-        spectral = harness.temporal_smoothed_partition(
-            graph_prev, graph_t, config.spectral_config(alpha, harness.derive_stream(base, 3)))
-        _, best_obj = oracle.brute_force_best(graph_prev, graph_t, alpha, groups, budget)
+    for graph_prev, graph_t, alpha, groups, seed in oracle.random_instances(
+            args.seed, args.instances):
+        spectral = temporal_smoothed_partition(
+            graph_prev, graph_t, SpectralConfig(alpha=alpha, M=groups, seed=seed))
+        _, best_obj = oracle.brute_force_best(graph_prev, graph_t, alpha, groups)
         spectral_obj = oracle.blended_objective(graph_prev, graph_t,
                                                 spectral.vertex_labels, alpha)
-        for labels in oracle.enumerate_partitions(num_bs, groups, budget):
-            part = harness.Partition.from_vertex_labels(labels, groups, graph_t.anchor)
+        for labels in oracle.enumerate_partitions(graph_t.num_vertices, groups):
+            part = Partition.from_vertex_labels(labels, groups, graph_t.anchor)
             direct = sum_cut(graph_t, part)
             via_trace = oracle.blended_objective(graph_prev, graph_t, labels, 1.0)
             if abs(direct - via_trace) > 1e-9 * max(1.0, abs(direct)):

@@ -58,18 +58,9 @@ class Partition:
     def num_vertices(self) -> int:
         return self.vertex_labels.shape[0]
 
-    @property
-    def num_users(self) -> int:
-        return self.user_assignment.shape[0]
-
     def connection_matrix(self) -> np.ndarray:
         """(K, L) boolean matrix: user k is served by every BS sharing its label."""
         return self.vertex_labels[None, :] == self.user_assignment[:, None]
-
-    def connections(self) -> set:
-        """The served (user, bs) pairs as a set of tuples."""
-        ks, ls = np.nonzero(self.connection_matrix())
-        return set(zip(ks.tolist(), ls.tolist()))
 
 
 def blended_laplacian(lap_t: np.ndarray, lap_prev: np.ndarray, alpha: float) -> np.ndarray:

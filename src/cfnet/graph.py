@@ -22,10 +22,6 @@ class AffinityGraph:
     def num_vertices(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def num_users(self) -> int:
-        return self.anchor.shape[0]
-
 
 def build_graph(gains: ChannelGains) -> AffinityGraph:
     """Build the interference graph from large-scale gains.
@@ -81,13 +77,3 @@ def sum_cut(graph: AffinityGraph, partition) -> float:
         total += cut_value(graph, np.flatnonzero(labels == m))
     return total
 
-
-def write_edge_list_csv(graph: AffinityGraph, path) -> None:
-    """Dump nonzero upper-triangle edges as `i,j,w` rows."""
-    w = graph.weights
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("i,j,w\n")
-        for i in range(w.shape[0]):
-            for j in range(i + 1, w.shape[1]):
-                if w[i, j] != 0.0:
-                    fh.write(f"{i},{j},{w[i, j]:.9g}\n")

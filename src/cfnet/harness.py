@@ -14,11 +14,18 @@ step t - 1: the previous graph's Laplacian, which the blend returns as an
 exact copy at both endpoints, with the same seed.  `run_trial` reuses those
 vertex labels instead of clustering again, and maps them to users through the
 current anchors; the outputs are the same bytes as without the reuse.
+
+Results: a trial keeps its KPIs in one float array `kpis` of shape
+(time_steps, n_alpha, 4).  The last axis follows KPI_NAMES, which is also the
+column order of metrics.csv: sum_rate, temporal_smoothness, handovers,
+zfbf_sum_rate.  An entry is NaN where its KPI is undefined: the history KPIs
+at step 0, and the ZF rate when ZF evaluation is off.  Every output (per-trial
+means, kpi_matrix, metrics.csv, summary.csv) is a reduction of these arrays.
 """
 
 import dataclasses
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,7 +33,7 @@ import numpy as np
 from .channel import RadioParams, channel_gains, complex_channel
 from .clustering import Partition, SpectralConfig, initial_partition, temporal_smoothed_partition
 from .graph import build_graph
-from .metrics import record_step
+from .metrics import KPI_NAMES, record_step
 from .topology import Layout, MobilityParams, generate_layout, step_waypoint
 
 STREAM_LAYOUT = 0
@@ -115,12 +122,7 @@ def _parse_value(name: str, kind, raw: str):
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the flat `key = value` format; '#' starts a comment."""
-    fields = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-    kinds = {"K": int, "L": int, "M": int, "beta": float, "pt_over_sigma2_db": float,
-             "alpha_grid": tuple, "time_steps": int, "realizations": int,
-             "master_seed": int, "max_transition": float, "min_transition": float,
-             "pause_prob": float, "kmeans_restarts": int, "kmeans_max_iters": int,
-             "kmeans_tol": float, "outputs": str, "evaluate_zfbf": bool}
+    kinds = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -129,7 +131,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in fields:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         values[key] = _parse_value(key, kinds[key], raw)
     return ExperimentConfig(**values)
@@ -176,9 +178,8 @@ def derive_stream(base: np.random.SeedSequence, stream: int,
 @dataclass
 class TrialResult:
     alpha_grid: tuple
-    records: list                      # records[alpha_index][step] -> MetricsRecord
+    kpis: np.ndarray                   # (time_steps, n_alpha, 4), columns KPI_NAMES
     snapshots: Optional[list] = None   # (step, Layout, vertex labels, user assignment)
-    snapshot_alpha: Optional[float] = None
 
 
 def run_trial(config: ExperimentConfig, seed, keep_snapshots: bool = False,
@@ -207,8 +208,8 @@ def run_trial(config: ExperimentConfig, seed, keep_snapshots: bool = False,
 
     # the bootstrap step has no history, so it is alpha-independent
     first = initial_partition(graph, config.spectral_config(1.0, kmeans_seed))
-    records = [[record_step(0, gains, first, radio, zfbf_channel=fading)]
-               for _ in alphas]
+    kpis = np.empty((config.time_steps, len(alphas), len(KPI_NAMES)))
+    kpis[0] = record_step(0, gains, first, radio, zfbf_channel=fading).row()
     previous: list[Partition] = [first for _ in alphas]
     snapshots = None
     if keep_snapshots:
@@ -232,62 +233,44 @@ def run_trial(config: ExperimentConfig, seed, keep_snapshots: bool = False,
                     graph, graph_t, config.spectral_config(alpha, kmeans_seed))
             if alpha == 1.0:
                 alone_t = part.vertex_labels
-            records[a].append(record_step(t, gains_t, part, radio, gains_prev=gains,
-                                          partition_prev=previous[a],
-                                          zfbf_channel=fading))
+            kpis[t, a] = record_step(t, gains_t, part, radio, gains_prev=gains,
+                                     partition_prev=previous[a],
+                                     zfbf_channel=fading).row()
             previous[a] = part
             if keep_snapshots and alpha == snapshot_alpha:
                 snapshots.append((t, layout, part.vertex_labels.copy(),
                                   part.user_assignment.copy()))
         gains, graph, alone = gains_t, graph_t, alone_t
 
-    return TrialResult(alpha_grid=alphas, records=records,
-                       snapshots=snapshots, snapshot_alpha=snapshot_alpha)
+    return TrialResult(alpha_grid=alphas, kpis=kpis, snapshots=snapshots)
 
 
-def _measured_steps(records: list) -> list:
-    # steps after the bootstrap carry the full KPI set; with a single time
-    # instant only the bootstrap record exists
-    return records[1:] if len(records) > 1 else records
+def trial_kpi_means(result: TrialResult) -> np.ndarray:
+    """(n_alpha, 4) means over the measured steps of one trial.
 
-
-def trial_kpi_means(result: TrialResult) -> dict:
-    """Per-alpha means over the measured steps of one trial.
-
-    Returns arrays aligned with the trial's alpha grid; entries are NaN where
-    a KPI is undefined (no history, or ZF evaluation disabled).
+    The steps after the bootstrap are measured; a one-step trial has only the
+    bootstrap.  Columns follow KPI_NAMES; NaN where a KPI is undefined.
     """
-    n = len(result.alpha_grid)
-    out = {k: np.full(n, np.nan) for k in
-           ("sum_rate", "temporal_smoothness", "handovers", "zfbf_sum_rate")}
-    for a in range(n):
-        steps = _measured_steps(result.records[a])
-        out["sum_rate"][a] = np.mean([r.sum_rate for r in steps])
-        smooth = [r.temporal_smoothness for r in steps if r.temporal_smoothness is not None]
-        if smooth:
-            out["temporal_smoothness"][a] = np.mean(smooth)
-        handovers = [r.handovers for r in steps if r.handovers is not None]
-        if handovers:
-            out["handovers"][a] = np.mean(handovers)
-        zf = [r.zfbf_sum_rate for r in steps if r.zfbf_sum_rate is not None]
-        if zf:
-            out["zfbf_sum_rate"][a] = np.mean(zf)
-    return out
-
-
-KPI_NAMES = ("sum_rate", "temporal_smoothness", "handovers", "zfbf_sum_rate")
+    measured = result.kpis[1:] if len(result.kpis) > 1 else result.kpis
+    # one contiguous row per (alpha, KPI): numpy sums a row pairwise, where a
+    # mean over axis 0 would add the steps in plain order and, from 8 steps
+    # on, round differently
+    return np.ascontiguousarray(np.moveaxis(measured, 0, -1)).mean(axis=-1)
 
 
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
     trials: list                       # TrialResult per realization, in seed order
-    kpi_means: dict                    # kpi -> (realizations, n_alpha) array
+    kpi_means: np.ndarray = field(init=False)  # (realizations, n_alpha, 4) trial means
+
+    def __post_init__(self):
+        self.kpi_means = np.stack([trial_kpi_means(trial) for trial in self.trials])
 
 
 def kpi_matrix(result: ExperimentResult, kpi: str) -> np.ndarray:
     """(realizations, n_alpha) matrix of per-trial means for one KPI."""
-    return result.kpi_means[kpi]
+    return result.kpi_means[:, :, KPI_NAMES.index(kpi)]
 
 
 def run_monte_carlo(config: ExperimentConfig, keep_snapshots: bool = True) -> ExperimentResult:
@@ -297,30 +280,20 @@ def run_monte_carlo(config: ExperimentConfig, keep_snapshots: bool = True) -> Ex
     depend on any execution interleaving.
     """
     config.validate()
-    trials = []
-    for i in range(config.realizations):
-        trials.append(run_trial(config, trial_seed(config.master_seed, i),
-                                keep_snapshots=keep_snapshots and i == 0))
-    kpi_means = {k: np.vstack([trial_kpi_means(tr)[k] for tr in trials])
-                 for k in KPI_NAMES}
-    return ExperimentResult(config=config, trials=trials, kpi_means=kpi_means)
+    trials = [run_trial(config, trial_seed(config.master_seed, i),
+                        keep_snapshots=keep_snapshots and i == 0)
+              for i in range(config.realizations)]
+    return ExperimentResult(config=config, trials=trials)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if np.isnan(v):
-        return ""
-    return f"{v:.9g}"
+def _fmt(value: float) -> str:
+    return "" if np.isnan(value) else f"{value:.9g}"
 
 
 def _mean_and_se(column: np.ndarray) -> tuple:
     valid = column[~np.isnan(column)]
     if valid.size == 0:
-        return None, None
+        return np.nan, np.nan
     mean = float(valid.mean())
     se = float(valid.std(ddof=1) / np.sqrt(valid.size)) if valid.size > 1 else 0.0
     return mean, se
@@ -332,7 +305,7 @@ def summary_rows(result: ExperimentResult) -> list:
     for a, alpha in enumerate(result.config.alpha_grid):
         row = {"alpha": alpha}
         for kpi in KPI_NAMES:
-            mean, se = _mean_and_se(result.kpi_means[kpi][:, a])
+            mean, se = _mean_and_se(kpi_matrix(result, kpi)[:, a])
             row[f"{kpi}_mean"], row[f"{kpi}_se"] = mean, se
         rows.append(row)
     return rows
@@ -359,14 +332,10 @@ def _write_metrics(result: ExperimentResult, path: str) -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("trial,step,alpha,sum_rate,temporal_smoothness,handovers,zfbf_sum_rate\n")
         for i, trial in enumerate(result.trials):
-            for t in range(len(trial.records[0])):
-                for a, alpha in enumerate(trial.alpha_grid):
-                    rec = trial.records[a][t]
-                    fh.write(",".join([str(i), str(t), _fmt(alpha),
-                                       _fmt(rec.sum_rate),
-                                       _fmt(rec.temporal_smoothness),
-                                       _fmt(rec.handovers),
-                                       _fmt(rec.zfbf_sum_rate)]) + "\n")
+            for t, step in enumerate(trial.kpis):
+                for alpha, values in zip(trial.alpha_grid, step):
+                    fh.write(",".join([str(i), str(t), _fmt(alpha)]
+                                      + [_fmt(v) for v in values]) + "\n")
     return path
 
 

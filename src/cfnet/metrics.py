@@ -1,16 +1,24 @@
-"""Per-step KPIs: temporal smoothness, handover counting, ZF downlink rates."""
+"""Per-step KPIs: temporal smoothness, handover counting, ZF downlink rates.
+
+`record_step` scores one step; `MetricsRecord.row` gives its KPIs in
+KPI_NAMES order with NaN where undefined, which is one row of a trial's
+(time_steps, n_alpha, 4) KPI array in the harness and the column order of
+metrics.csv.
+"""
 
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelGains, RadioParams, per_user_rates, sum_rate
+from .channel import ChannelGains, RadioParams, sum_rate
 from .clustering import Partition
 
 # intra-subnetwork leakage above this (relative to the intended signal)
 # means the zero-forcing solve went numerically wrong
 _ZF_CROSSTALK_TOL = 1e-9
+
+KPI_NAMES = ("sum_rate", "temporal_smoothness", "handovers", "zfbf_sum_rate")
 
 
 @dataclass
@@ -22,7 +30,10 @@ class MetricsRecord:
     temporal_smoothness: Optional[float]  # undefined on the first step
     handovers: Optional[int]              # undefined on the first step
     zfbf_sum_rate: Optional[float]
-    per_user_rates: np.ndarray
+
+    def row(self) -> list:
+        """The KPIs in KPI_NAMES order, NaN where undefined."""
+        return [np.nan if (v := getattr(self, k)) is None else v for k in KPI_NAMES]
 
 
 def temporal_smoothness(gains_prev: ChannelGains, partition_t: Partition,
@@ -127,25 +138,11 @@ def zfbf_evaluation(channel_complex: np.ndarray, partition: Partition,
     return result
 
 
-def zfbf_sum_rate(gains_faded: ChannelGains, channel_complex: np.ndarray,
-                  partition: Partition, params: RadioParams) -> float:
-    """Sum of the ZF downlink rates; `gains_faded` must match the channel."""
-    if not gains_faded.includes_fading:
-        raise ValueError("expected faded gains for the downlink evaluation")
-    if gains_faded.gains.shape != channel_complex.shape:
-        raise ValueError("gains and complex channel have different shapes")
-    if not np.allclose(gains_faded.gains, np.abs(channel_complex) ** 2,
-                       rtol=1e-9, atol=0.0):
-        raise ValueError("gains are not the squared magnitudes of the channel")
-    return zfbf_evaluation(channel_complex, partition, params).sum_rate
-
-
 def record_step(time_index: int, gains_t: ChannelGains, partition_t: Partition,
                 params: RadioParams, gains_prev: Optional[ChannelGains] = None,
                 partition_prev: Optional[Partition] = None,
                 zfbf_channel: Optional[np.ndarray] = None) -> MetricsRecord:
     """Bundle all KPIs of one step; history-based ones stay None without history."""
-    rates = per_user_rates(gains_t, partition_t, params)
     smoothness = None
     if gains_prev is not None:
         smoothness = temporal_smoothness(gains_prev, partition_t, params)
@@ -155,6 +152,7 @@ def record_step(time_index: int, gains_t: ChannelGains, partition_t: Partition,
     zf_rate = None
     if zfbf_channel is not None:
         zf_rate = zfbf_evaluation(zfbf_channel, partition_t, params).sum_rate
-    return MetricsRecord(time_index=time_index, sum_rate=float(rates.sum()),
+    return MetricsRecord(time_index=time_index,
+                         sum_rate=sum_rate(gains_t, partition_t, params),
                          temporal_smoothness=smoothness, handovers=handovers,
-                         zfbf_sum_rate=zf_rate, per_user_rates=rates)
+                         zfbf_sum_rate=zf_rate)

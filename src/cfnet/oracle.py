@@ -6,10 +6,16 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .channel import channel_gains
 from .clustering import Partition
-from .graph import AffinityGraph
+from .graph import AffinityGraph, build_graph
+from .harness import (STREAM_KMEANS, STREAM_LAYOUT, STREAM_MOBILITY,
+                      ExperimentConfig, derive_stream)
+from .topology import generate_layout, step_waypoint
 
 _CANDIDATE_CAP = 1_000_000
+
+INSTANCE_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 class BudgetExceeded(ValueError):
@@ -105,3 +111,30 @@ def brute_force_best(graph_prev: AffinityGraph, graph_t: AffinityGraph,
             best_labels, best_obj = labels, obj
     partition = Partition.from_vertex_labels(best_labels, num_groups, graph_t.anchor)
     return partition, float(best_obj)
+
+
+def random_instances(seed: int, count: int) -> Iterator[tuple]:
+    """The seeded small-instance family the acceptance gate C2 certifies.
+
+    Instance i draws L in [4, 8], K in [2, 12] and M in {2, 3} from
+    default_rng(seed), takes alpha = INSTANCE_ALPHAS[i % 5], and builds its
+    layout, one mobility step and its k-means seed by the harness's frozen rule
+    from SeedSequence(seed, spawn_key=(i,)), as step 1 of a trial.  Yields
+    (graph_prev, graph_t, alpha, M, kmeans_seed), the latter a SeedSequence.
+    """
+    budget = EnumerationBudget()
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        num_bs = int(rng.integers(4, budget.max_vertices + 1))
+        num_users = int(rng.integers(2, 13))
+        groups = int(rng.integers(2, budget.max_subnetworks + 1))
+        config = ExperimentConfig(K=num_users, L=num_bs, M=groups)
+        radio = config.radio_params()
+        base = np.random.SeedSequence(seed, spawn_key=(i,))
+        layout = generate_layout(num_users, num_bs, derive_stream(base, STREAM_LAYOUT))
+        moved = step_waypoint(layout, config.mobility_params(),
+                              derive_stream(base, STREAM_MOBILITY, 1))
+        yield (build_graph(channel_gains(layout, radio)),
+               build_graph(channel_gains(moved, radio)),
+               INSTANCE_ALPHAS[i % len(INSTANCE_ALPHAS)], groups,
+               derive_stream(base, STREAM_KMEANS))

@@ -18,14 +18,6 @@ class Layout:
     user_positions: np.ndarray  # (K, 2), updated every mobility step
     area_side: float = 1.0
 
-    @property
-    def num_bs(self) -> int:
-        return self.bs_positions.shape[0]
-
-    @property
-    def num_users(self) -> int:
-        return self.user_positions.shape[0]
-
     def validate(self) -> None:
         for name, pts in (("bs_positions", self.bs_positions),
                           ("user_positions", self.user_positions)):
@@ -104,11 +96,3 @@ def step_waypoint(layout: Layout, params: MobilityParams, seed) -> Layout:
     return Layout(bs_positions=layout.bs_positions, user_positions=new_pos,
                   area_side=layout.area_side)
 
-
-def write_layout_csv(layout: Layout, path) -> None:
-    """Dump a layout as `entity,index,x,y` rows (bs then user, index-ordered)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("entity,index,x,y\n")
-        for name, pts in (("bs", layout.bs_positions), ("user", layout.user_positions)):
-            for i, (x, y) in enumerate(pts):
-                fh.write(f"{name},{i},{x:.9g},{y:.9g}\n")

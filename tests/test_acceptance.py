@@ -18,7 +18,8 @@ from cfnet.harness import (ExperimentConfig, derive_stream, emit_outputs,
                            kpi_matrix, run_monte_carlo, run_trial, trial_seed,
                            STREAM_KMEANS, STREAM_LAYOUT, STREAM_MOBILITY)
 from cfnet.metrics import zfbf_evaluation
-from cfnet.oracle import blended_objective, brute_force_best, enumerate_partitions
+from cfnet.oracle import (INSTANCE_ALPHAS, blended_objective, brute_force_best,
+                          enumerate_partitions, random_instances)
 from cfnet.topology import generate_layout, step_waypoint
 
 
@@ -29,30 +30,10 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
 
 # ----------------------------------------------------------- shared batches
 
-ORACLE_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
 @pytest.fixture(scope="module")
 def oracle_instances():
-    """100 random small instances: graph pair, alpha, group count."""
-    rng = np.random.default_rng(2025)
-    instances = []
-    for i in range(100):
-        num_bs = int(rng.integers(4, 9))       # L <= 8
-        num_users = int(rng.integers(2, 13))   # K <= 12
-        groups = int(rng.integers(2, 4))       # M in {2, 3}
-        alpha = ORACLE_ALPHAS[i % len(ORACLE_ALPHAS)]
-        base = np.random.SeedSequence(2025, spawn_key=(i,))
-        cfg = ExperimentConfig(K=num_users, L=num_bs, M=groups)
-        lay = generate_layout(num_users, num_bs, derive_stream(base, STREAM_LAYOUT))
-        radio = cfg.radio_params()
-        g_prev = build_graph(channel_gains(lay, radio))
-        moved = step_waypoint(lay, cfg.mobility_params(),
-                              derive_stream(base, STREAM_MOBILITY, 1))
-        g_now = build_graph(channel_gains(moved, radio))
-        seed = derive_stream(base, STREAM_KMEANS)
-        instances.append((g_prev, g_now, alpha, groups, seed))
-    return instances
+    """100 random small instances: graph pair, alpha, group count, k-means seed."""
+    return list(random_instances(2025, 100))
 
 
 FIG_TREND_CONFIG = ExperimentConfig(
@@ -135,7 +116,7 @@ def test_c3_endpoint_equivalence():
             _, _, labels, assignment = trial.snapshots[t]
             if not (np.array_equal(labels, bench.vertex_labels)
                     and np.array_equal(assignment, bench.user_assignment)
-                    and trial.records[0][t].sum_rate == sum_rate(gains, bench, radio)):
+                    and trial.kpis[t, 0, 0] == sum_rate(gains, bench, radio)):
                 all_equal = False
     _report("C3 endpoint equivalence", all_equal,
             "(label sequences and KPIs identical under shared seeds)")
@@ -227,7 +208,7 @@ def test_c8_partition_validity_fuzz():
         num_bs = int(rng.integers(2, 11))
         num_users = int(rng.integers(1, 13))
         groups = int(rng.integers(1, num_bs + 1))
-        alpha = float(rng.choice(ORACLE_ALPHAS))
+        alpha = float(rng.choice(INSTANCE_ALPHAS))
         base = np.random.SeedSequence(7777, spawn_key=(i,))
         cfg = ExperimentConfig(K=num_users, L=num_bs, M=groups)
         lay = generate_layout(num_users, num_bs, derive_stream(base, STREAM_LAYOUT))

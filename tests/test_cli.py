@@ -37,6 +37,8 @@ def test_config_error_exit_code():
     assert main(["run", "--K", "0"]) == 1
     assert main(["run", "--config", "/does/not/exist"]) == 1
     assert main(["run", "--alpha-grid", ""]) == 1
+    assert main(["trial", *BASE, "--trial-index", "-1"]) == 1
+    assert main(["trial", *BASE, "--snapshot-alpha", "abc"]) == 1
 
 
 def test_trial_command_dumps_snapshots(tmp_path):

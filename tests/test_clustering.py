@@ -378,11 +378,6 @@ def test_partition_validation_errors():
         Partition.from_vertex_labels(np.array([0, 3]), 2, np.array([0]))     # out of range
 
 
-def test_connections_enumerate_user_bs_pairs():
-    part = Partition.from_vertex_labels(np.array([0, 1, 0]), 2, np.array([0, 1]))
-    assert part.connections() == {(0, 0), (0, 2), (1, 1)}
-
-
 def small_pipeline_runs():
     """40 seeded small graph pairs with the pipeline's partition of each.
 

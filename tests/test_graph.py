@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cfnet.channel import ChannelGains, RadioParams, channel_gains
 from cfnet.clustering import Partition
-from cfnet.graph import AffinityGraph, build_graph, cut_value, sum_cut, write_edge_list_csv
+from cfnet.graph import AffinityGraph, build_graph, cut_value, sum_cut
 from cfnet.topology import generate_layout
 
 
@@ -126,11 +126,3 @@ def test_anchor_indexes_strongest_bs():
     gains = ChannelGains(gains=rng.uniform(0.1, 4.0, size=(10, 8)))
     g = build_graph(gains)
     assert np.array_equal(g.anchor, np.argmax(gains.gains, axis=1))
-
-
-def test_edge_list_dump(tmp_path):
-    w = np.array([[0.0, 1.5], [1.5, 0.0]])
-    g = graph_from_weights(w)
-    path = tmp_path / "edges.csv"
-    write_edge_list_csv(g, path)
-    assert path.read_text().splitlines() == ["i,j,w", "0,1,1.5"]

@@ -5,7 +5,7 @@ from cfnet.channel import ChannelGains, RadioParams, channel_gains, complex_chan
 from cfnet.clustering import Partition, SpectralConfig, initial_partition
 from cfnet.graph import build_graph
 from cfnet.metrics import (MetricsRecord, handover_count, record_step,
-                           temporal_smoothness, zfbf_evaluation, zfbf_sum_rate)
+                           temporal_smoothness, zfbf_evaluation)
 from cfnet.topology import Layout, generate_layout
 
 from conftest import trend_holds
@@ -160,21 +160,6 @@ def test_rank_deficient_subnetwork_flagged_and_silent():
     assert np.all(result.per_user_rates == 0.0)
 
 
-def test_zfbf_sum_rate_validates_inputs():
-    lay = generate_layout(3, 4, seed=8)
-    params = RadioParams()
-    h = complex_channel(lay, params, seed=11)
-    faded = channel_gains(lay, params, fading_seed=11)
-    plain = channel_gains(lay, params)
-    part = make_partition([0, 0, 1, 1], np.argmax(plain.gains, axis=1), 2)
-    value = zfbf_sum_rate(faded, h, part, params)
-    assert value >= 0.0
-    with pytest.raises(ValueError):
-        zfbf_sum_rate(plain, h, part, params)            # not faded
-    with pytest.raises(ValueError):
-        zfbf_sum_rate(faded, h * 2.0, part, params)      # inconsistent pair
-
-
 def test_zfbf_total_power_budget_respected():
     rng = np.random.default_rng(9)
     h = (rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))) / np.sqrt(2)
@@ -211,7 +196,7 @@ def test_record_step_without_history():
     assert rec.temporal_smoothness is None
     assert rec.handovers is None
     assert rec.zfbf_sum_rate is None
-    assert rec.sum_rate == pytest.approx(rec.per_user_rates.sum())
+    assert rec.sum_rate == sum_rate(gains, part, RadioParams())
 
 
 def test_record_step_with_history_fills_all_kpis():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfnet.topology import (Layout, MobilityParams, displace, generate_layout,
-                            step_waypoint, write_layout_csv)
+                            step_waypoint)
 
 
 def test_minimal_layout_in_unit_square():
@@ -17,7 +17,7 @@ def test_minimal_layout_in_unit_square():
 
 def test_layout_shapes_match_counts():
     lay = generate_layout(30, 50, seed=3)
-    assert lay.num_users == 30 and lay.num_bs == 50
+    assert lay.user_positions.shape == (30, 2) and lay.bs_positions.shape == (50, 2)
     assert np.all((lay.user_positions >= 0) & (lay.user_positions <= 1))
     assert np.all((lay.bs_positions >= 0) & (lay.bs_positions <= 1))
 
@@ -126,14 +126,3 @@ def test_invalid_mobility_params_rejected():
         step_waypoint(lay, MobilityParams(max_transition=0.1, min_transition=0.2), seed=0)
     with pytest.raises(ValueError):
         step_waypoint(lay, MobilityParams(max_transition=1.5), seed=0)
-
-
-def test_layout_csv_roundtrippable_shape(tmp_path):
-    lay = generate_layout(4, 3, seed=9)
-    path = tmp_path / "layout.csv"
-    write_layout_csv(lay, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "entity,index,x,y"
-    assert len(lines) == 1 + 3 + 4
-    assert lines[1].startswith("bs,0,")
-    assert lines[4].startswith("user,0,")
