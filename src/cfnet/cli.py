@@ -1,4 +1,4 @@
-"""Command line front end: run, trial, sweep and oracle-check subcommands."""
+"""Command line front end: run, trial and oracle-check subcommands."""
 
 import argparse
 import dataclasses
@@ -48,13 +48,6 @@ def _cmd_run(args) -> int:
     return _EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    # convenience wrapper: require the grid explicitly, everything else as run
-    if getattr(args, "alpha_grid", None) is None:
-        raise ConfigError("sweep requires --alpha-grid")
-    return _cmd_run(args)
-
-
 def _cmd_trial(args) -> int:
     config = _resolve_config(args)
     if args.trial_index < 0:
@@ -71,13 +64,15 @@ def _cmd_trial(args) -> int:
                               snapshot_alpha=snapshot_alpha)
     single = dataclasses.replace(config, realizations=1)
     result = harness.ExperimentResult(config=single, trials=[trial])
-    for path in harness.emit_outputs(result, single):
+    for path in harness.emit_outputs(result, single, trial_index=args.trial_index):
         print(path)
     return _EXIT_OK
 
 
 def _cmd_oracle_check(args) -> int:
     """Certify the pipeline against brute force on the C2 instance family."""
+    if args.instances < 1:
+        raise ConfigError("--instances must be at least 1")
     worst_ratio = 0.0
     trace_ok = quality_ok = True
     for graph_prev, graph_t, alpha, groups, seed in oracle.random_instances(
@@ -112,10 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="full Monte Carlo run from a config")
     _add_config_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="Monte Carlo over an explicit alpha grid")
-    _add_config_flags(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_trial = sub.add_parser("trial", help="single seeded trial with snapshot dumps")
     _add_config_flags(p_trial)

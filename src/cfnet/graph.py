@@ -9,8 +9,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .channel import ChannelGains
-
 
 @dataclass
 class AffinityGraph:
@@ -23,8 +21,8 @@ class AffinityGraph:
         return self.weights.shape[0]
 
 
-def build_graph(gains: ChannelGains) -> AffinityGraph:
-    """Build the interference graph from large-scale gains.
+def build_graph(g: np.ndarray) -> AffinityGraph:
+    """Build the interference graph from the (K, L) large-scale gains g.
 
     Each user attaches to the vertex of its strongest BS.  The weight between
     vertices i and j sums, over the users anchored at either end, the gain
@@ -35,9 +33,6 @@ def build_graph(gains: ChannelGains) -> AffinityGraph:
 
     Vertices with no anchored users simply contribute no ratio terms.
     """
-    if gains.includes_fading:
-        raise ValueError("the interference graph uses large-scale gains only")
-    g = gains.gains
     num_users, num_bs = g.shape
     if num_users:
         anchor = np.argmax(g, axis=1)

@@ -24,6 +24,7 @@ means, kpi_matrix, metrics.csv, summary.csv) is a reduction of these arrays.
 """
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -67,6 +68,9 @@ class ExperimentConfig:
     evaluate_zfbf: bool = True
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be a finite number")
         if min(self.K, self.L, self.M, self.time_steps, self.realizations) < 1:
             raise ConfigError("counts must all be at least 1")
         if self.M > self.L:
@@ -311,16 +315,25 @@ def summary_rows(result: ExperimentResult) -> list:
     return rows
 
 
-def emit_outputs(result: ExperimentResult, config: ExperimentConfig) -> list:
-    """Write metrics.csv, summary.csv, snapshots and config.echo; return paths."""
+def emit_outputs(result: ExperimentResult, config: ExperimentConfig,
+                 trial_index: Optional[int] = None) -> list:
+    """Write metrics.csv, summary.csv, snapshots and config.echo; return paths.
+
+    `trial_index` marks the one-trial result of `cfnet trial`: the rows carry
+    it, and config.echo opens with the command that reproduces the outputs.
+    """
     outdir = config.outputs
     try:
         os.makedirs(outdir, exist_ok=True)
-        written = [_write_metrics(result, os.path.join(outdir, "metrics.csv")),
+        written = [_write_metrics(result, os.path.join(outdir, "metrics.csv"),
+                                  trial_index or 0),
                    _write_summary(result, os.path.join(outdir, "summary.csv"))]
         written.extend(_write_snapshots(result, outdir))
         echo_path = os.path.join(outdir, "config.echo")
         with open(echo_path, "w", encoding="utf-8", newline="") as fh:
+            if trial_index is not None:
+                fh.write(f"# reproduce with: cfnet trial --config config.echo "
+                         f"--trial-index {trial_index}\n")
             fh.write(config_to_text(config))
         written.append(echo_path)
     except OSError as exc:
@@ -328,13 +341,13 @@ def emit_outputs(result: ExperimentResult, config: ExperimentConfig) -> list:
     return written
 
 
-def _write_metrics(result: ExperimentResult, path: str) -> str:
+def _write_metrics(result: ExperimentResult, path: str, first_trial: int) -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("trial,step,alpha,sum_rate,temporal_smoothness,handovers,zfbf_sum_rate\n")
         for i, trial in enumerate(result.trials):
             for t, step in enumerate(trial.kpis):
                 for alpha, values in zip(trial.alpha_grid, step):
-                    fh.write(",".join([str(i), str(t), _fmt(alpha)]
+                    fh.write(",".join([str(first_trial + i), str(t), _fmt(alpha)]
                                       + [_fmt(v) for v in values]) + "\n")
     return path
 

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelGains, RadioParams, sum_rate
+from .channel import RadioParams, sum_rate
 from .clustering import Partition
 
 # intra-subnetwork leakage above this (relative to the intended signal)
@@ -36,7 +36,7 @@ class MetricsRecord:
         return [np.nan if (v := getattr(self, k)) is None else v for k in KPI_NAMES]
 
 
-def temporal_smoothness(gains_prev: ChannelGains, partition_t: Partition,
+def temporal_smoothness(gains_prev: np.ndarray, partition_t: Partition,
                         params: RadioParams) -> float:
     """Current BS grouping scored against the previous step's network state.
 
@@ -46,11 +46,9 @@ def temporal_smoothness(gains_prev: ChannelGains, partition_t: Partition,
     `gains_prev`.  This matches the cut-based smoothness objective the
     partitioner optimizes, which scores today's labels on yesterday's graph.
     """
-    if gains_prev.includes_fading:
-        raise ValueError("temporal smoothness uses large-scale gains")
-    if gains_prev.num_bs != partition_t.num_vertices:
+    if gains_prev.shape[1] != partition_t.num_vertices:
         raise ValueError("partition does not match the gains dimensions")
-    prev_anchor = np.argmax(gains_prev.gains, axis=1)
+    prev_anchor = np.argmax(gains_prev, axis=1)
     prev_view = Partition.from_vertex_labels(partition_t.vertex_labels,
                                              partition_t.M, prev_anchor)
     return sum_rate(gains_prev, prev_view, params)
@@ -138,8 +136,8 @@ def zfbf_evaluation(channel_complex: np.ndarray, partition: Partition,
     return result
 
 
-def record_step(time_index: int, gains_t: ChannelGains, partition_t: Partition,
-                params: RadioParams, gains_prev: Optional[ChannelGains] = None,
+def record_step(time_index: int, gains_t: np.ndarray, partition_t: Partition,
+                params: RadioParams, gains_prev: Optional[np.ndarray] = None,
                 partition_prev: Optional[Partition] = None,
                 zfbf_channel: Optional[np.ndarray] = None) -> MetricsRecord:
     """Bundle all KPIs of one step; history-based ones stay None without history."""

@@ -1,8 +1,6 @@
 """Exhaustive small-instance references for certifying the spectral pipeline."""
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -13,7 +11,11 @@ from .harness import (STREAM_KMEANS, STREAM_LAYOUT, STREAM_MOBILITY,
                       ExperimentConfig, derive_stream)
 from .topology import generate_layout, step_waypoint
 
-_CANDIDATE_CAP = 1_000_000
+# The enumeration envelope, also the size range of the C2 instance family. At
+# most S(8, 4) = 1,701 partitions of 8 vertices share a group count, so the
+# vertex count is the only bound enumeration checks.
+MAX_VERTICES = 8
+MAX_GROUPS = 3
 
 INSTANCE_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -22,38 +24,7 @@ class BudgetExceeded(ValueError):
     """The requested enumeration is too large to brute-force."""
 
 
-@lru_cache(maxsize=None)
-def stirling2(n: int, m: int) -> int:
-    """Number of ways to split n items into m nonempty groups."""
-    if m < 0 or n < 0:
-        raise ValueError("negative arguments")
-    if n == 0 and m == 0:
-        return 1
-    if n == 0 or m == 0 or m > n:
-        return 0
-    return m * stirling2(n - 1, m) + stirling2(n - 1, m - 1)
-
-
-@dataclass
-class EnumerationBudget:
-    max_vertices: int = 8
-    max_subnetworks: int = 3
-
-    def validate(self) -> None:
-        if stirling2(self.max_vertices, self.max_subnetworks) > _CANDIDATE_CAP:
-            raise ValueError("budget envelope itself is not enumerable")
-
-    def ensure_within(self, num_vertices: int, num_groups: int) -> None:
-        self.validate()
-        if num_vertices > self.max_vertices:
-            raise BudgetExceeded(
-                f"{num_vertices} vertices exceed the budget of {self.max_vertices}")
-        if stirling2(num_vertices, num_groups) > _CANDIDATE_CAP:
-            raise BudgetExceeded("too many candidate partitions to enumerate")
-
-
-def enumerate_partitions(num_vertices: int, num_groups: int,
-                         budget: Optional[EnumerationBudget] = None) -> Iterator[np.ndarray]:
+def enumerate_partitions(num_vertices: int, num_groups: int) -> Iterator[np.ndarray]:
     """Yield every split of the vertices into exactly `num_groups` groups.
 
     Each split appears once, in canonical form: labels are numbered in order
@@ -61,7 +32,9 @@ def enumerate_partitions(num_vertices: int, num_groups: int,
     """
     if not 1 <= num_groups <= num_vertices:
         raise ValueError("group count must lie in [1, number of vertices]")
-    (budget or EnumerationBudget()).ensure_within(num_vertices, num_groups)
+    if num_vertices > MAX_VERTICES:
+        raise BudgetExceeded(
+            f"{num_vertices} vertices exceed the budget of {MAX_VERTICES}")
 
     labels = np.zeros(num_vertices, dtype=np.int64)
 
@@ -95,8 +68,7 @@ def blended_objective(graph_prev: AffinityGraph, graph_t: AffinityGraph,
 
 
 def brute_force_best(graph_prev: AffinityGraph, graph_t: AffinityGraph,
-                     alpha: float, num_groups: int,
-                     budget: Optional[EnumerationBudget] = None):
+                     alpha: float, num_groups: int):
     """Exact minimizer of the blended cut objective over all partitions.
 
     Returns (partition, objective).  Ties keep the first candidate in
@@ -105,7 +77,7 @@ def brute_force_best(graph_prev: AffinityGraph, graph_t: AffinityGraph,
     if graph_prev.num_vertices != graph_t.num_vertices:
         raise ValueError("graphs must cover the same base stations")
     best_labels, best_obj = None, np.inf
-    for labels in enumerate_partitions(graph_t.num_vertices, num_groups, budget):
+    for labels in enumerate_partitions(graph_t.num_vertices, num_groups):
         obj = blended_objective(graph_prev, graph_t, labels, alpha)
         if obj < best_obj:
             best_labels, best_obj = labels, obj
@@ -122,12 +94,11 @@ def random_instances(seed: int, count: int) -> Iterator[tuple]:
     from SeedSequence(seed, spawn_key=(i,)), as step 1 of a trial.  Yields
     (graph_prev, graph_t, alpha, M, kmeans_seed), the latter a SeedSequence.
     """
-    budget = EnumerationBudget()
     rng = np.random.default_rng(seed)
     for i in range(count):
-        num_bs = int(rng.integers(4, budget.max_vertices + 1))
+        num_bs = int(rng.integers(4, MAX_VERTICES + 1))
         num_users = int(rng.integers(2, 13))
-        groups = int(rng.integers(2, budget.max_subnetworks + 1))
+        groups = int(rng.integers(2, MAX_GROUPS + 1))
         config = ExperimentConfig(K=num_users, L=num_bs, M=groups)
         radio = config.radio_params()
         base = np.random.SeedSequence(seed, spawn_key=(i,))

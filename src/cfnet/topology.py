@@ -9,6 +9,8 @@ import numpy as np
 # inside, so hitting this cap means something is broken upstream.
 _MAX_REDRAW_ROUNDS = 10_000
 
+AREA_SIDE = 1.0  # side of the square service area
+
 
 @dataclass
 class Layout:
@@ -16,14 +18,13 @@ class Layout:
 
     bs_positions: np.ndarray    # (L, 2), never changes within a trial
     user_positions: np.ndarray  # (K, 2), updated every mobility step
-    area_side: float = 1.0
 
     def validate(self) -> None:
         for name, pts in (("bs_positions", self.bs_positions),
                           ("user_positions", self.user_positions)):
             if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
                 raise ValueError(f"{name} must be a nonempty (n, 2) array")
-            if np.any(pts < 0.0) or np.any(pts > self.area_side):
+            if np.any(pts < 0.0) or np.any(pts > AREA_SIDE):
                 raise ValueError(f"{name} has coordinates outside the service area")
 
 
@@ -33,9 +34,9 @@ class MobilityParams:
     min_transition: float = 0.0
     pause_prob: float = 0.0      # chance a user sits out a step entirely
 
-    def validate(self, area_side: float = 1.0) -> None:
-        if not 0.0 <= self.min_transition <= self.max_transition <= area_side:
-            raise ValueError("need 0 <= min_transition <= max_transition <= area_side")
+    def validate(self) -> None:
+        if not 0.0 <= self.min_transition <= self.max_transition <= AREA_SIDE:
+            raise ValueError("need 0 <= min_transition <= max_transition <= AREA_SIDE")
         if not 0.0 <= self.pause_prob <= 1.0:
             raise ValueError("pause_prob must lie in [0, 1]")
 
@@ -49,8 +50,8 @@ def generate_layout(num_users: int, num_bs: int, seed) -> Layout:
     if num_users < 1 or num_bs < 1:
         raise ValueError("need at least one user and one base station")
     rng = np.random.default_rng(seed)
-    bs = rng.uniform(0.0, 1.0, size=(num_bs, 2))
-    users = rng.uniform(0.0, 1.0, size=(num_users, 2))
+    bs = rng.uniform(0.0, AREA_SIDE, size=(num_bs, 2))
+    users = rng.uniform(0.0, AREA_SIDE, size=(num_users, 2))
     return Layout(bs_positions=bs, user_positions=users)
 
 
@@ -70,7 +71,7 @@ def step_waypoint(layout: Layout, params: MobilityParams, seed) -> Layout:
     conditioned on staying inside.
     """
     layout.validate()
-    params.validate(layout.area_side)
+    params.validate()
     rng = np.random.default_rng(seed)
     pos = layout.user_positions
     new_pos = pos.copy()
@@ -87,12 +88,11 @@ def step_waypoint(layout: Layout, params: MobilityParams, seed) -> Layout:
         lengths = rng.uniform(params.min_transition, params.max_transition, size=pending.size)
         thetas = rng.uniform(0.0, 2.0 * np.pi, size=pending.size)
         dest = displace(pos[pending], lengths, thetas)
-        inside = np.all((dest >= 0.0) & (dest <= layout.area_side), axis=1)
+        inside = np.all((dest >= 0.0) & (dest <= AREA_SIDE), axis=1)
         new_pos[pending[inside]] = dest[inside]
         pending = pending[~inside]
     else:
         raise RuntimeError("waypoint redraw could not find an in-area destination")
 
-    return Layout(bs_positions=layout.bs_positions, user_positions=new_pos,
-                  area_side=layout.area_side)
+    return Layout(bs_positions=layout.bs_positions, user_positions=new_pos)
 

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -6,10 +7,15 @@ from cfnet.cli import main
 BASE = ["--K", "5", "--L", "6", "--M", "2", "--alpha-grid", "0.5,1.0",
         "--time-steps", "2", "--realizations", "2"]
 
+# this checkout's sources, for the child interpreter
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run_cli(args):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "cfnet.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_run_writes_outputs(tmp_path):
@@ -39,6 +45,13 @@ def test_config_error_exit_code():
     assert main(["run", "--alpha-grid", ""]) == 1
     assert main(["trial", *BASE, "--trial-index", "-1"]) == 1
     assert main(["trial", *BASE, "--snapshot-alpha", "abc"]) == 1
+    assert main(["run", "--pt-over-sigma2-db", "nan"]) == 1
+    assert main(["run", "--pt-over-sigma2-db", "inf"]) == 1
+    assert main(["run", "--pt-over-sigma2-db=-inf"]) == 1
+    assert main(["run", "--beta", "nan"]) == 1
+    assert main(["run", "--beta", "inf"]) == 1
+    assert main(["run", "--kmeans-tol", "nan"]) == 1
+    assert main(["oracle-check", "--instances", "0"]) == 1
 
 
 def test_trial_command_dumps_snapshots(tmp_path):
@@ -52,16 +65,27 @@ def test_trial_command_dumps_snapshots(tmp_path):
     assert len(rows) == 1 + 2 * 2  # header + steps x alphas for one trial
 
 
-def test_sweep_requires_alpha_grid(tmp_path):
-    assert main(["sweep", "--K", "5", "--L", "6", "--M", "2",
-                 "--time-steps", "2", "--realizations", "1",
-                 "--outputs", str(tmp_path)]) == 1
+def test_trial_rows_match_run_rows(tmp_path):
+    # trial i writes the trial-i rows of a run, and its echo reruns trial i
+    assert main(["run", *BASE, "--outputs", str(tmp_path / "run")]) == 0
+    assert main(["trial", *BASE, "--trial-index", "1",
+                 "--outputs", str(tmp_path / "trial")]) == 0
+    run_rows = (tmp_path / "run" / "metrics.csv").read_bytes().splitlines(keepends=True)
+    trial_rows = (tmp_path / "trial" / "metrics.csv").read_bytes().splitlines(keepends=True)
+    assert trial_rows[1:] == [row for row in run_rows if row.startswith(b"1,")]
+    echo = tmp_path / "trial" / "config.echo"
+    assert echo.read_text().startswith(
+        "# reproduce with: cfnet trial --config config.echo --trial-index 1\n")
+    assert main(["trial", "--config", str(echo), "--trial-index", "1",
+                 "--outputs", str(tmp_path / "again")]) == 0
+    assert (tmp_path / "again" / "metrics.csv").read_bytes() == (
+        tmp_path / "trial" / "metrics.csv").read_bytes()
 
 
 def test_sweep_runs_with_grid(tmp_path):
+    # an alpha sweep is `cfnet run` with --alpha-grid
     out = tmp_path / "out"
-    proc = run_cli(["sweep", *BASE, "--outputs", str(out)])
-    assert proc.returncode == 0, proc.stderr
+    assert main(["run", *BASE, "--outputs", str(out)]) == 0
     rows = (out / "summary.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 2
 
