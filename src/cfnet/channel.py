@@ -22,8 +22,8 @@ class RadioParams:
     pt_over_sigma2: float = 1.0  # per-BS transmit power over noise power, linear
 
     def validate(self) -> None:
-        if self.beta <= 0 or self.pt_over_sigma2 <= 0:
-            raise ValueError("beta and pt_over_sigma2 must be positive")
+        if self.beta <= 0 or not 0 < self.pt_over_sigma2 < np.inf:
+            raise ValueError("need beta > 0 and a finite pt_over_sigma2 > 0")
 
 
 def distances(layout: "Layout") -> np.ndarray:

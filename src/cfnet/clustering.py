@@ -31,7 +31,7 @@ class SpectralConfig:
         if self.M < 1:
             raise ValueError("need at least one subnetwork")
         if self.kmeans_restarts < 1 or self.kmeans_max_iters < 1 or self.kmeans_tol < 0:
-            raise ValueError("bad k-means settings")
+            raise ValueError("need kmeans_restarts, kmeans_max_iters >= 1, kmeans_tol >= 0")
 
 
 @dataclass
@@ -269,8 +269,6 @@ def temporal_smoothed_partition(graph_prev: AffinityGraph, graph_t: AffinityGrap
     over to users through the current anchor map.
     """
     cfg.validate()
-    if graph_prev.num_vertices != graph_t.num_vertices:
-        raise ValueError("graphs must cover the same base stations")
     blend = blended_laplacian(graph_t.laplacian, graph_prev.laplacian, cfg.alpha)
     return _cluster_laplacian(blend, graph_t.anchor, cfg)
 

@@ -1,11 +1,12 @@
-"""BS-anchored interference graph: ratio weights, Laplacian, cut functions.
+"""BS-anchored interference graph: ratio weights and Laplacian.
 
 Vertices are indexed by BS, permanently, so graphs taken at different time
 steps stay conformable; only the user membership of a vertex moves around.
+The partitioner reads only the Laplacian L: a partition's summed group cuts
+equal trace(Z^T L Z), and `oracle.blended_objective` sums them from weights.
 """
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -34,41 +35,12 @@ def build_graph(g: np.ndarray) -> AffinityGraph:
     Vertices with no anchored users simply contribute no ratio terms.
     """
     num_users, num_bs = g.shape
-    if num_users:
-        anchor = np.argmax(g, axis=1)
-        ratios = g / g[np.arange(num_users), anchor][:, None]
-        half = np.zeros((num_bs, num_bs))
-        np.add.at(half, anchor, ratios)
-        np.fill_diagonal(half, 0.0)
-        weights = half + half.T
-    else:
-        anchor = np.zeros(0, dtype=np.int64)
-        weights = np.zeros((num_bs, num_bs))
+    anchor = np.argmax(g, axis=1)
+    ratios = g / g[np.arange(num_users), anchor][:, None]
+    half = np.zeros((num_bs, num_bs))
+    np.add.at(half, anchor, ratios)
+    np.fill_diagonal(half, 0.0)
+    weights = half + half.T
     laplacian = np.diag(weights.sum(axis=1)) - weights
     return AffinityGraph(anchor=anchor, weights=weights, laplacian=laplacian)
-
-
-def cut_value(graph: AffinityGraph, subset: Iterable[int]) -> float:
-    """Total weight of edges from the subset to its complement."""
-    inside = np.zeros(graph.num_vertices, dtype=bool)
-    idx = np.fromiter(subset, dtype=np.int64)
-    if idx.size:
-        inside[idx] = True
-    return float(graph.weights[np.ix_(inside, ~inside)].sum())
-
-
-def sum_cut(graph: AffinityGraph, partition) -> float:
-    """Sum of the cut values of all subnetwork vertex groups.
-
-    Every cross edge separates two groups and is therefore counted once per
-    side.  Pairing a partition taken at one time step with the graph of
-    another step scores that partition against the other step's weights.
-    """
-    labels = partition.vertex_labels
-    if labels.shape[0] != graph.num_vertices:
-        raise ValueError("partition does not match the graph's vertex count")
-    total = 0.0
-    for m in range(partition.M):
-        total += cut_value(graph, np.flatnonzero(labels == m))
-    return total
 

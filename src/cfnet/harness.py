@@ -77,16 +77,16 @@ class ExperimentConfig:
             raise ConfigError("cannot form more subnetworks than base stations")
         if not self.alpha_grid:
             raise ConfigError("alpha_grid must not be empty")
-        if any(not 0.0 <= a <= 1.0 for a in self.alpha_grid):
-            raise ConfigError("alpha values must lie in [0, 1]")
-        if not 0.0 <= self.min_transition <= self.max_transition <= 1.0:
-            raise ConfigError("need 0 <= min_transition <= max_transition <= 1")
-        if not 0.0 <= self.pause_prob <= 1.0:
-            raise ConfigError("pause_prob must lie in [0, 1]")
-        if self.beta <= 0.0:
-            raise ConfigError("beta must be positive")
-        if self.kmeans_restarts < 1 or self.kmeans_max_iters < 1 or self.kmeans_tol < 0:
-            raise ConfigError("bad k-means settings")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be at least 0")
+        try:  # the stage objects hold every other rule
+            for stage in [self.radio_params(), self.mobility_params(),
+                          *(self.spectral_config(a, 0) for a in self.alpha_grid)]:
+                stage.validate()
+        except OverflowError as exc:
+            raise ConfigError("pt_over_sigma2_db overflows the linear power") from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def radio_params(self) -> RadioParams:
         return RadioParams(beta=self.beta,

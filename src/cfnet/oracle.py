@@ -8,7 +8,7 @@ from .channel import channel_gains
 from .clustering import Partition
 from .graph import AffinityGraph, build_graph
 from .harness import (STREAM_KMEANS, STREAM_LAYOUT, STREAM_MOBILITY,
-                      ExperimentConfig, derive_stream)
+                      ExperimentConfig, derive_stream, trial_seed)
 from .topology import generate_layout, step_waypoint
 
 # The enumeration envelope, also the size range of the C2 instance family. At
@@ -55,8 +55,8 @@ def enumerate_partitions(num_vertices: int, num_groups: int) -> Iterator[np.ndar
 
 
 def _partition_cut_weight(weights: np.ndarray, labels: np.ndarray) -> float:
-    # independent of the graph module: straight sum over ordered vertex pairs
-    # with differing labels
+    # the sum of every group's cut, read off the weights and not the Laplacian:
+    # each edge between groups counts once per side
     return float(weights[labels[:, None] != labels[None, :]].sum())
 
 
@@ -91,7 +91,7 @@ def random_instances(seed: int, count: int) -> Iterator[tuple]:
     Instance i draws L in [4, 8], K in [2, 12] and M in {2, 3} from
     default_rng(seed), takes alpha = INSTANCE_ALPHAS[i % 5], and builds its
     layout, one mobility step and its k-means seed by the harness's frozen rule
-    from SeedSequence(seed, spawn_key=(i,)), as step 1 of a trial.  Yields
+    from trial_seed(seed, i), as step 1 of a trial.  Yields
     (graph_prev, graph_t, alpha, M, kmeans_seed), the latter a SeedSequence.
     """
     rng = np.random.default_rng(seed)
@@ -101,7 +101,7 @@ def random_instances(seed: int, count: int) -> Iterator[tuple]:
         groups = int(rng.integers(2, MAX_GROUPS + 1))
         config = ExperimentConfig(K=num_users, L=num_bs, M=groups)
         radio = config.radio_params()
-        base = np.random.SeedSequence(seed, spawn_key=(i,))
+        base = trial_seed(seed, i)
         layout = generate_layout(num_users, num_bs, derive_stream(base, STREAM_LAYOUT))
         moved = step_waypoint(layout, config.mobility_params(),
                               derive_stream(base, STREAM_MOBILITY, 1))

@@ -36,7 +36,7 @@ class MobilityParams:
 
     def validate(self) -> None:
         if not 0.0 <= self.min_transition <= self.max_transition <= AREA_SIDE:
-            raise ValueError("need 0 <= min_transition <= max_transition <= AREA_SIDE")
+            raise ValueError(f"need 0 <= min_transition <= max_transition <= {AREA_SIDE}")
         if not 0.0 <= self.pause_prob <= 1.0:
             raise ValueError("pause_prob must lie in [0, 1]")
 

@@ -13,7 +13,7 @@ import pytest
 
 from cfnet.channel import RadioParams, channel_gains, complex_channel, sum_rate
 from cfnet.clustering import Partition, SpectralConfig, spectral_partition, temporal_smoothed_partition
-from cfnet.graph import build_graph, sum_cut
+from cfnet.graph import build_graph
 from cfnet.harness import (ExperimentConfig, derive_stream, emit_outputs,
                            kpi_matrix, run_monte_carlo, run_trial, trial_seed,
                            STREAM_KMEANS, STREAM_LAYOUT, STREAM_MOBILITY)
@@ -58,7 +58,7 @@ def _adjacent_ok(matrix: np.ndarray, a: int, b: int, direction: int):
 # ---------------------------------------------------------------- criteria
 
 def test_c1_trace_identity(oracle_instances):
-    """Every enumerated partition: direct sum-cut equals the indicator trace."""
+    """Every enumerated partition: direct summed cut equals the indicator trace."""
     worst = 0.0
     checked = 0
     for g_prev, g_now, _, groups, _ in oracle_instances:
@@ -67,8 +67,7 @@ def test_c1_trace_identity(oracle_instances):
             z = np.zeros((num_bs, groups))
             z[np.arange(num_bs), labels] = 1.0
             for graph in (g_prev, g_now):
-                part = Partition.from_vertex_labels(labels, groups, graph.anchor)
-                direct = sum_cut(graph, part)
+                direct = blended_objective(graph, graph, labels, 1.0)
                 trace = float(np.trace(z.T @ graph.laplacian @ z))
                 err = abs(direct - trace) / max(1.0, abs(trace))
                 worst = max(worst, err)

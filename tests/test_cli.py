@@ -1,14 +1,17 @@
+import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
 
+from cfnet import oracle
 from cfnet.cli import main
 
 BASE = ["--K", "5", "--L", "6", "--M", "2", "--alpha-grid", "0.5,1.0",
         "--time-steps", "2", "--realizations", "2"]
 
-# this checkout's sources, for the child interpreter
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")  # this checkout's sources, for the child interpreter
 
 
 def run_cli(args):
@@ -52,6 +55,11 @@ def test_config_error_exit_code():
     assert main(["run", "--beta", "inf"]) == 1
     assert main(["run", "--kmeans-tol", "nan"]) == 1
     assert main(["oracle-check", "--instances", "0"]) == 1
+    assert main(["run", "--master-seed", "-1"]) == 1
+    assert main(["oracle-check", "--seed", "-1"]) == 1
+    assert main(["run", "--pt-over-sigma2-db", "1e308"]) == 1   # linear power overflows
+    assert main(["run", "--pt-over-sigma2-db=-4000"]) == 1      # linear power underflows to 0
+    assert main(["run", "--beta", "-1"]) == 1
 
 
 def test_trial_command_dumps_snapshots(tmp_path):
@@ -95,3 +103,29 @@ def test_oracle_check_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "cut-consistency: PASS" in proc.stdout
     assert "never-below-optimum: PASS" in proc.stdout
+
+
+def test_oracle_check_fails_when_laplacian_disagrees_with_weights(monkeypatch, capsys):
+    # cut-consistency compares the cut on the weights with the Laplacian's
+    # indicator trace, so a Laplacian built from other weights must fail it
+    real = oracle.random_instances
+
+    def doubled_laplacian(seed, count):
+        for g_prev, g_t, *rest in real(seed, count):
+            yield (g_prev, dataclasses.replace(g_t, laplacian=2.0 * g_t.laplacian), *rest)
+
+    monkeypatch.setattr(oracle, "random_instances", doubled_laplacian)
+    assert main(["oracle-check", "--instances", "3", "--seed", "1"]) == 2
+    assert "cut-consistency: FAIL" in capsys.readouterr().out
+
+
+def test_example_config_outputs_are_pinned(tmp_path):
+    """metrics.csv of the desk-scale example config, ZF on, four trials.
+
+    The hash holds on numpy 2.4.6 with OpenBLAS 0.3.31; another numpy or BLAS
+    build may round the eigenvectors differently.
+    """
+    assert main(["run", "--config", os.path.join(ROOT, "example.cfg"),
+                 "--realizations", "4", "--outputs", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == (
+        "f6b31295fa8ac20f8845e175f56d91a90804a06943ba7fa5b6a0a932e96e47e9")

@@ -435,14 +435,6 @@ def test_output_is_local_minimum_of_blended_cut():
         assert np.array_equal(part.vertex_labels, raw)
 
 
-def test_blended_objective_of_output_matches_sum_cut_at_alpha_one():
-    from cfnet.graph import sum_cut
-    g0, g1 = graph_pair(15)
-    part = temporal_smoothed_partition(g0, g1, SpectralConfig(alpha=1.0, M=3, seed=1))
-    assert blended_objective(g0, g1, part.vertex_labels, 1.0) == pytest.approx(
-        sum_cut(g1, part), rel=1e-12)
-
-
 def test_smoothness_trend_over_two_step_batch(two_step_batch):
     ok, detail = trend_holds(two_step_batch["smoothness"], direction=+1)
     assert ok, f"smoothness rose with alpha beyond one standard error: {detail}"

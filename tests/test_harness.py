@@ -302,3 +302,27 @@ def test_zero_mobility_keeps_partitions(K, L, data, alphas, frozen, seed):
     kpis = run_trial(cfg, trial_seed(seed, 0)).kpis[1:]
     assert (kpis[:, :, HANDOVERS] == 0).all()
     assert np.array_equal(kpis[:, :, SMOOTHNESS], kpis[:, :, SUM_RATE])
+
+
+@settings(max_examples=25, deadline=None)
+@given(L=st.integers(1, 8), data=st.data(), seed=st.integers(0, 999),
+       max_transition=st.floats(0.05, 1.0))
+def test_singleton_groups_and_few_users_give_finite_kpis(L, data, seed, max_transition):
+    """M = L, or fewer users than subnetworks, with mobility and ZF on.
+
+    Every defined KPI is finite; only the history KPIs of step 0 are not
+    defined.  At M = L every subnetwork is one BS, so every alpha yields the
+    same partition and the same four KPIs at every step.
+    """
+    M = data.draw(st.integers(min(2, L), L), label="M")
+    K = data.draw(st.integers(1, 8 if M == L else M - 1), label="K")
+    cfg = ExperimentConfig(K=K, L=L, M=M, alpha_grid=(0.0, 0.5, 1.0), time_steps=3,
+                           realizations=1, master_seed=seed,
+                           max_transition=max_transition, evaluate_zfbf=True)
+    kpis = run_trial(cfg, trial_seed(seed, 0)).kpis
+    assert np.isfinite(kpis[1:]).all()
+    assert np.isfinite(kpis[0][:, [SUM_RATE, ZF_RATE]]).all()
+    assert np.isnan(kpis[0][:, [SMOOTHNESS, HANDOVERS]]).all()
+    if M == L:
+        assert np.array_equal(kpis, np.broadcast_to(kpis[:, :1], kpis.shape),
+                              equal_nan=True)
