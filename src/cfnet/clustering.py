@@ -100,12 +100,6 @@ def smallest_eigenvectors(matrix: np.ndarray, count: int) -> np.ndarray:
     return vecs[:, :count]
 
 
-# the Lloyd distance array is built in blocks of rows holding at most this
-# many elements (256 KB of float64), so at large L * M the temporary stays in
-# cache instead of being mapped afresh on every iteration
-_BLOCK_ELEMENTS = 1 << 15
-
-
 def _kmeans_pp_centers(rows: np.ndarray, M: int, rngs: list) -> np.ndarray:
     """k-means++ seeding of every restart at once; returns (R, M, d) centers.
 
@@ -138,38 +132,94 @@ def _kmeans_pp_centers(rows: np.ndarray, M: int, rngs: list) -> np.ndarray:
     return centers
 
 
+def _gemm_gap_bound(scale: np.ndarray, d: int) -> np.ndarray:
+    """Gap between a row's two smallest GEMM distances that certifies its label.
+
+    With scale = ||x|| + max ||c||, the GEMM form ||x||^2 - 2 x.c + ||c||^2
+    and the exact form ((x - c)**2).sum() each lie within
+    gamma_{d+3} * scale^2 of the true squared distance, in any summation
+    order (gamma_n = n u / (1 - n u), u the unit roundoff).  A gap above four
+    times that leaves one centre nearest in both forms.  (2 scale)^2
+    overflows before a GEMM distance can, so such a row is never certified;
+    the last term covers the absolute error of gradual underflow.
+    """
+    nu = (d + 3) * np.finfo(float).eps / 2
+    return nu / (1.0 - nu) * (2.0 * scale) ** 2 + d * 2.0 ** -1070
+
+
 def _lloyd(rows: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
-    n, M = rows.shape[0], centers.shape[0]
-    block = max(1, _BLOCK_ELEMENTS // centers.size)
-    d2 = np.empty((n, M))
-    labels = np.zeros(n, dtype=np.int64)
-    sse_prev = np.inf
-    sse = np.inf
+    """Lloyd iterations of every restart at once from (R, M, d) seed centres.
+
+    Returns (R, n) labels and (R,) SSEs, each restart's equal to a run on its
+    own with exact distances ((x - c)**2).sum().  Distances come from one
+    GEMM over all restarts; a row whose two smallest lie within
+    `_gemm_gap_bound` takes its label from the exact form, so labels do not
+    depend on GEMM rounding.  A restart stops at its own convergence test
+    (relative SSE change at most `tol`) or at `max_iters`.
+    """
+    rows = np.ascontiguousarray(rows)
+    n, d = rows.shape
+    R, M, _ = centers.shape
+    cen = centers.transpose(1, 0, 2)     # (M, a, d) for the a active restarts
+    xx = np.einsum("ij,ij->i", rows, rows)
+    weights = np.tile(rows.ravel(), R)   # row-major rows of each restart in turn
+    labels = np.zeros((R, n), dtype=np.int64)
+    sse = np.full(R, np.nan)             # NaN fails the first convergence test
+    act = np.arange(R)
     for _ in range(max_iters):
-        # each row's distances are reduced on their own, so blocking is exact
-        for lo in range(0, n, block):
-            part = rows[lo:lo + block]
-            d2[lo:lo + block] = ((part[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        counts = np.bincount(labels, minlength=M)
-        # an emptied cluster steals the point lying farthest from its own
-        # centroid, skipping singletons so no other cluster is emptied
-        for m in np.flatnonzero(counts == 0):
-            fit = d2[np.arange(n), labels].copy()
-            fit[counts[labels] <= 1] = -1.0
-            worst = int(np.argmax(fit))
-            counts[labels[worst]] -= 1
-            labels[worst] = m
-            counts[m] = 1
-        # add.at sums each group in row order, as mean(axis=0) of the group's
-        # rows does when they have two or more columns
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, rows)
-        centers = sums / counts[:, None]
-        sse = float(((rows - centers[labels]) ** 2).sum())
-        if np.isfinite(sse_prev) and abs(sse_prev - sse) <= tol * max(sse_prev, 1e-12):
+        a = act.size
+        cc = np.einsum("mrj,mrj->mr", cen, cen)
+        # (M, a * n) GEMM distances; overflow leaves inf or NaN, never certified
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = (cen.reshape(M * a, d) @ rows.T).reshape(M, a, n)
+            dist *= -2.0
+            dist += xx
+            dist += cc[:, :, None]
+            dist = dist.reshape(M, a * n)
+            lab = dist.T.argmin(axis=1)
+            pick = (lab, np.arange(a * n))
+            best = dist[pick]
+            dist[pick] = np.inf
+            gap = dist.min(axis=0) - best
+            bound = _gemm_gap_bound(np.sqrt(xx) + np.sqrt(cc.max(axis=0))[:, None], d)
+        k = np.flatnonzero(~(gap.reshape(a, n) > bound))   # NaN gaps take the exact form too
+        if k.size:
+            # one centre at a time, so no temporary outgrows the rows taken
+            taken, restart = rows[k % n], k // n
+            exact = np.empty((k.size, M))
+            for m in range(M):
+                exact[:, m] = ((taken - cen[m, restart]) ** 2).sum(axis=1)
+            lab[k] = exact.argmin(axis=1)
+        lab = lab.reshape(a, n)
+        group = lab * a + np.arange(a)[:, None]
+        counts = np.bincount(group.ravel(), minlength=M * a).reshape(M, a)
+        if not counts.all():
+            # an emptied cluster steals the point lying farthest from its own
+            # centroid, skipping singletons so no other cluster is emptied;
+            # that reads each row's exact distance to its own centroid only
+            for r in np.flatnonzero((counts == 0).any(axis=0)):
+                fit = ((rows - cen[lab[r], r]) ** 2).sum(axis=1)
+                for m in np.flatnonzero(counts[:, r] == 0):
+                    worst = int(np.argmax(np.where(counts[lab[r], r] <= 1, -1.0, fit)))
+                    counts[lab[r, worst], r] -= 1
+                    lab[r, worst] = m
+                    counts[m, r] = 1
+            group = lab * a + np.arange(a)[:, None]
+        # the scatter-add sums each group in row order, as mean(axis=0) of
+        # the group's rows does when they have two or more columns
+        sums = np.bincount((group[:, :, None] * d + np.arange(d)).ravel(),
+                           weights=weights[:a * n * d], minlength=M * a * d)
+        cen = sums.reshape(M, a, d) / counts[:, :, None]
+        sq = rows - cen.reshape(M * a, d)[group]
+        sq *= sq
+        cur = sq.reshape(a, n * d).sum(axis=1)
+        prev = sse[act]
+        labels[act] = lab
+        sse[act] = cur
+        going = ~(np.abs(prev - cur) <= tol * np.maximum(prev, 1e-12))
+        if not going.any():
             break
-        sse_prev = sse
+        act, cen = act[going], cen[:, going]
     return labels, sse
 
 
@@ -185,17 +235,22 @@ def kmeans_rows(rows: np.ndarray, M: int, restarts: int = 10, max_iters: int = 1
 
     The k-means++ seeding of all restarts runs as one batch, each restart
     drawing from its own Generator in its own order, with weighted draws that
-    replicate `Generator.choice` (see `_kmeans_pp_centers`).  Each restart
-    then runs Lloyd iterations to convergence (relative SSE change below
-    `tol`) or `max_iters`; the run with the lowest SSE wins and ties keep the
-    earliest restart.  Deterministic given (rows, seed).  Rows must be
-    finite, with squared distances that do not overflow.
+    replicate `Generator.choice` (see `_kmeans_pp_centers`).  The Lloyd
+    iterations of all restarts then run as one batch too (see `_lloyd`), each
+    restart until its own convergence (relative SSE change below `tol`) or
+    `max_iters`, with the labels and SSE of a run on its own.  The run with
+    the lowest SSE wins and ties keep the earliest restart.  Labels come from
+    the exact squared distances wherever GEMM rounding could change them, so
+    they do not depend on the BLAS build.  Deterministic given (rows, seed).
+    Rows must be finite, with squared distances that do not overflow.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("expected a 2-d row matrix")
     if not 1 <= M <= rows.shape[0]:
         raise ValueError("cluster count must lie in [1, number of rows]")
+    if restarts < 1 or max_iters < 1:
+        raise ValueError("need restarts >= 1 and max_iters >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
         span = rows.max(axis=0) - rows.min(axis=0)
         spread = rows.shape[0] * (span @ span)   # bounds every squared distance and SSE
@@ -203,12 +258,8 @@ def kmeans_rows(rows: np.ndarray, M: int, restarts: int = 10, max_iters: int = 1
         raise ValueError("rows must be finite, with squared distances that do not overflow")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(_restart_seed(root, r)) for r in range(restarts)]
-    best_labels, best_sse = None, np.inf
-    for centers in _kmeans_pp_centers(rows, M, rngs):
-        labels, sse = _lloyd(rows, centers, max_iters, tol)
-        if sse < best_sse:
-            best_labels, best_sse = labels, sse
-    return best_labels
+    labels, sse = _lloyd(rows, _kmeans_pp_centers(rows, M, rngs), max_iters, tol)
+    return labels[int(np.argmin(sse))]
 
 
 def _descend_cut(lap: np.ndarray, labels: np.ndarray, M: int) -> np.ndarray:

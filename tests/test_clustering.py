@@ -152,6 +152,12 @@ def test_kmeans_rejects_bad_cluster_count():
         kmeans_rows(np.ones((3, 2)), 4)
 
 
+@pytest.mark.parametrize("budget", ["restarts", "max_iters"])
+def test_kmeans_rejects_empty_budgets(budget):
+    with pytest.raises(ValueError, match=">= 1"):
+        kmeans_rows(np.eye(4), 2, seed=0, **{budget: 0})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_kmeans_rejects_non_finite_rows(bad):
     rows = np.ones((6, 2))
@@ -246,6 +252,21 @@ def kmeans_fuzz_inputs():
         elif i % 4 == 2:
             rows = np.round(rows)         # many ties between distances
         yield rows, m, int(rng.integers(1 << 31))
+    # hard inputs for the GEMM distances ||x||^2 - 2 x.c + ||c||^2: rows
+    # offset by 1e8 (severe cancellation), rows near 1e155 (||x||^2
+    # overflows, their squared distances do not) and lattice rows (exact
+    # distance ties)
+    for i in range(108):
+        n = int(rng.integers(2, 40))
+        m = (1, n, int(rng.integers(2, n + 1)))[i % 3]
+        shape = (n, int(rng.integers(2, 12)))
+        if i < 36:
+            rows = rng.normal(size=shape) + 1e8
+        elif i < 72:
+            rows = 1e155 * (1.0 + 1e-4 * rng.normal(size=shape))
+        else:
+            rows = rng.integers(-2, 3, size=shape) * 0.1
+        yield rows, m, int(rng.integers(1 << 31))
     # all rows equal: every distance ties, so the empty-cluster repair runs
     for m in (1, 2, 5):
         yield np.full((6, 3), 0.25), m, m
@@ -267,12 +288,15 @@ def test_kmeans_matches_reference_implementation():
 
 def lloyd_runs(restarts=3):
     """Per restart of every fuzz input: rows, the batched seeding's centers,
-    the library's (labels, sse) from them and the reference's (labels, sse)."""
+    the library's (labels, sse) from the batched Lloyd run of all restarts and
+    the reference's (labels, sse) from that restart alone."""
     root = np.random.SeedSequence(5)
     for rows, m, _ in kmeans_fuzz_inputs():
         rngs = [_ref_restart_rng(root, r) for r in range(restarts)]
-        for r, centers in enumerate(clustering._kmeans_pp_centers(rows, m, rngs)):
-            yield (rows, centers, clustering._lloyd(rows, centers, 100, 1e-9),
+        centers = clustering._kmeans_pp_centers(rows, m, rngs)
+        labels, sse = clustering._lloyd(rows, centers, 100, 1e-9)
+        for r in range(restarts):
+            yield (rows, centers[r], (labels[r], sse[r]),
                    _ref_lloyd(rows, m, _ref_restart_rng(root, r), 100, 1e-9))
 
 
@@ -283,14 +307,18 @@ def test_lloyd_matches_reference_restart_by_restart():
         assert sse == ref_sse
 
 
-def test_lloyd_row_blocks_match_one_block(monkeypatch):
-    runs = list(lloyd_runs(restarts=1))
-    for budget in (1, 40):   # one row a block, and blocks of a few rows
-        monkeypatch.setattr(clustering, "_BLOCK_ELEMENTS", budget)
-        for rows, centers, (labels, sse), _ in runs:
-            blocked_labels, blocked_sse = clustering._lloyd(rows, centers, 100, 1e-9)
-            assert np.array_equal(blocked_labels, labels)
-            assert blocked_sse == sse
+def test_lloyd_exact_fallback_matches_certified_path(monkeypatch):
+    # an infinite bound sends every row to the exact form, whose labels the
+    # certificate promises; the all-identical-rows inputs run the repair
+    default = [result for _, _, result, _ in lloyd_runs()]
+    monkeypatch.setattr(clustering, "_gemm_gap_bound", lambda scale, d: np.inf)
+    exact = list(lloyd_runs())
+    assert len(exact) == len(default)
+    for (labels, sse), (_, _, (exact_labels, exact_sse), (ref_labels, ref_sse)) \
+            in zip(default, exact):
+        assert np.array_equal(exact_labels, labels)
+        assert np.array_equal(exact_labels, ref_labels)
+        assert exact_sse == sse == ref_sse
 
 
 def test_batched_seeding_replays_generator_choice():

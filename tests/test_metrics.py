@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfnet.channel import RadioParams, channel_gains, complex_channel, sum_rate
-from cfnet.clustering import Partition, SpectralConfig, initial_partition
+from cfnet.channel import D_MIN, RadioParams, channel_gains, complex_channel, sum_rate
+from cfnet.clustering import (Partition, SpectralConfig, initial_partition,
+                              spectral_partition, temporal_smoothed_partition)
 from cfnet.graph import build_graph
 from cfnet.metrics import (MetricsRecord, handover_count, record_step,
                            temporal_smoothness, zfbf_evaluation)
-from cfnet.topology import Layout, generate_layout
+from cfnet.topology import AREA_SIDE, Layout, generate_layout
 
 from conftest import trend_holds
 
@@ -206,6 +211,42 @@ def test_record_step_with_history_fills_all_kpis():
 
 
 # ----------------------------------------------------------------- trends
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(1, 8), L=st.integers(1, 8), data=st.data(), seed=st.integers(0, 999))
+def test_coincident_positions_at_distance_clamp_give_finite_kpis(K, L, data, seed):
+    """Duplicated BS positions, and users on a BS or within D_MIN of one.
+
+    Distances below D_MIN clamp, so gains tie exactly.  The graphs, both
+    partition functions at alphas 0, 0.5 and 1, and every KPI with
+    zero-forcing stay finite, and no warning is raised.
+    """
+    coord = st.floats(0.0, AREA_SIDE)
+    sites = np.array(data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=3),
+                               label="sites"))
+    bs = sites[data.draw(st.lists(st.integers(0, len(sites) - 1), min_size=L, max_size=L),
+                         label="bs_sites")]
+    near = st.floats(-D_MIN / 2, D_MIN / 2)
+    layouts = []
+    for step in ("prev", "now"):
+        picks = data.draw(st.lists(st.tuples(st.integers(0, L - 1), near, near),
+                                   min_size=K, max_size=K), label=f"users_{step}")
+        users = np.clip([bs[b] + (dx, dy) for b, dx, dy in picks], 0.0, AREA_SIDE)
+        layouts.append(Layout(bs_positions=bs, user_positions=users))
+    M = data.draw(st.integers(1, L), label="M")
+    params = RadioParams()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gains = [channel_gains(lay, params) for lay in layouts]
+        g0, g1 = (build_graph(g) for g in gains)
+        first = spectral_partition(g0, SpectralConfig(alpha=1.0, M=M, seed=seed))
+        zf_channel = complex_channel(layouts[1], params, seed)
+        for alpha in (0.0, 0.5, 1.0):
+            cfg = SpectralConfig(alpha=alpha, M=M, seed=seed)
+            for part in (spectral_partition(g1, cfg), temporal_smoothed_partition(g0, g1, cfg)):
+                rec = record_step(1, gains[1], part, params, gains[0], first, zf_channel)
+                assert np.isfinite(rec.row()).all()
+
 
 def test_monotone_link_between_smoothness_and_handovers(two_step_batch):
     ok, detail = trend_holds(two_step_batch["smoothness"], direction=+1)
