@@ -10,7 +10,7 @@ from .channel import (RadioParams, channel_gains, complex_channel, per_user_sinr
                       sum_rate, user_rate)
 from .clustering import (Partition, SpectralConfig, blended_laplacian,
                          initial_partition, kmeans_rows, smallest_eigenvectors,
-                         spectral_partition, temporal_smoothed_partition)
+                         temporal_smoothed_partition)
 from .graph import AffinityGraph, build_graph
 from .harness import (ConfigError, ExperimentConfig, ExperimentResult,
                       TrialResult, emit_outputs, load_config, parse_config_text,

@@ -30,6 +30,10 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     for f in dataclasses.fields(ExperimentConfig):
         raw = getattr(args, f.name, None)
         if raw is not None:
+            # spliced into the flat format, '#' would start a comment and a line break a key
+            if "#" in raw or "".join(raw.splitlines()) != raw:
+                raise ConfigError(f"--{f.name.replace('_', '-')} cannot hold '#' "
+                                  f"or a line break: {raw!r}")
             overrides.append(f"{f.name} = {raw}")
     if overrides:
         base = harness.config_to_text(config)
@@ -51,7 +55,7 @@ def _cmd_trial(args) -> int:
     config = _resolve_config(args)
     if args.trial_index < 0:
         raise ConfigError("--trial-index must be at least 0")
-    snapshot_alpha = None
+    snapshot_alpha = config.alpha_grid[0]
     if args.snapshot_alpha is not None:
         try:
             snapshot_alpha = float(args.snapshot_alpha)
@@ -59,8 +63,7 @@ def _cmd_trial(args) -> int:
             raise ConfigError(
                 f"--snapshot-alpha is not a number: {args.snapshot_alpha!r}") from None
     seed = harness.trial_seed(config.master_seed, args.trial_index)
-    trial = harness.run_trial(config, seed, keep_snapshots=True,
-                              snapshot_alpha=snapshot_alpha)
+    trial = harness.run_trial(config, seed, snapshot_alpha=snapshot_alpha)
     single = dataclasses.replace(config, realizations=1)
     result = harness.ExperimentResult(config=single, trials=[trial])
     for path in harness.emit_outputs(result, single, trial_index=args.trial_index):
@@ -122,7 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on usage errors, our numerical-failure code
+        return _EXIT_CONFIG if exc.code else _EXIT_OK
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -303,12 +303,6 @@ def _cluster_laplacian(lap: np.ndarray, anchor: np.ndarray, cfg: SpectralConfig)
     return Partition.from_vertex_labels(labels, cfg.M, anchor)
 
 
-def spectral_partition(graph: AffinityGraph, cfg: SpectralConfig) -> Partition:
-    """Plain per-instant spectral partition of a single graph (no history)."""
-    cfg.validate()
-    return _cluster_laplacian(graph.laplacian, graph.anchor, cfg)
-
-
 def temporal_smoothed_partition(graph_prev: AffinityGraph, graph_t: AffinityGraph,
                                 cfg: SpectralConfig) -> Partition:
     """Partition the current step's graph, pulled toward the previous step's.
@@ -325,5 +319,6 @@ def temporal_smoothed_partition(graph_prev: AffinityGraph, graph_t: AffinityGrap
 
 
 def initial_partition(graph_0: AffinityGraph, cfg: SpectralConfig) -> Partition:
-    """Bootstrap partition for the first time step (no history yet)."""
+    """Bootstrap partition (no history yet); a graph blended with itself is an
+    exact copy, so this is also the plain alpha = 1 per-instant partition."""
     return temporal_smoothed_partition(graph_0, graph_0, cfg)

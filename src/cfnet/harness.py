@@ -16,10 +16,10 @@ vertex labels instead of clustering again, and maps them to users through the
 current anchors; the outputs are the same bytes as without the reuse.
 
 Results: a trial keeps its KPIs in one float array `kpis` of shape
-(time_steps, n_alpha, 4).  The last axis follows KPI_NAMES, which is also the
-column order of metrics.csv: sum_rate, temporal_smoothness, handovers,
-zfbf_sum_rate.  An entry is NaN where its KPI is undefined: the history KPIs
-at step 0, and the ZF rate when ZF evaluation is off.  Every output (per-trial
+(time_steps, n_alpha, 4), each (step, alpha) row the record `record_step`
+returns.  The last axis follows KPI_NAMES, which is also the column order of
+metrics.csv.  An entry is NaN where its KPI is undefined: the history KPIs at
+step 0, and the ZF rate when ZF evaluation is off.  Every output (per-trial
 means, kpi_matrix, metrics.csv, summary.csv) is a reduction of these arrays.
 """
 
@@ -145,7 +145,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)
 
@@ -186,12 +186,14 @@ class TrialResult:
     snapshots: Optional[list] = None   # (step, Layout, vertex labels, user assignment)
 
 
-def run_trial(config: ExperimentConfig, seed, keep_snapshots: bool = False,
+def run_trial(config: ExperimentConfig, seed,
               snapshot_alpha: Optional[float] = None) -> TrialResult:
     """Simulate one seeded trial across the whole alpha grid.
 
     The layout, mobility and fading randomness is drawn once per step and
     shared by every alpha branch; only the partition history is per alpha.
+    With a `snapshot_alpha` from the grid, the result keeps the layout and
+    partition of every step on that alpha branch; with None it keeps none.
     """
     config.validate()
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -199,8 +201,6 @@ def run_trial(config: ExperimentConfig, seed, keep_snapshots: bool = False,
     mobility = config.mobility_params()
     kmeans_seed = derive_stream(base, STREAM_KMEANS)
     alphas = tuple(config.alpha_grid)
-    if keep_snapshots and snapshot_alpha is None:
-        snapshot_alpha = alphas[0]
     if snapshot_alpha is not None and snapshot_alpha not in alphas:
         raise ConfigError("snapshot_alpha must be one of the alpha_grid values")
 
@@ -213,11 +213,10 @@ def run_trial(config: ExperimentConfig, seed, keep_snapshots: bool = False,
     # the bootstrap step has no history, so it is alpha-independent
     first = initial_partition(graph, config.spectral_config(1.0, kmeans_seed))
     kpis = np.empty((config.time_steps, len(alphas), len(KPI_NAMES)))
-    kpis[0] = record_step(0, gains, first, radio, zfbf_channel=fading).row()
+    kpis[0] = record_step(0, gains, first, radio, zfbf_channel=fading)
     previous: list[Partition] = [first for _ in alphas]
-    snapshots = None
-    if keep_snapshots:
-        snapshots = [(0, layout, first.vertex_labels.copy(), first.user_assignment.copy())]
+    snapshots = None if snapshot_alpha is None else [
+        (0, layout, first.vertex_labels.copy(), first.user_assignment.copy())]
     # vertex labels of the previous graph's Laplacian clustered on its own
     # (the bootstrap, then alpha = 1), which alpha = 0 clusters again
     alone = first.vertex_labels
@@ -239,9 +238,9 @@ def run_trial(config: ExperimentConfig, seed, keep_snapshots: bool = False,
                 alone_t = part.vertex_labels
             kpis[t, a] = record_step(t, gains_t, part, radio, gains_prev=gains,
                                      partition_prev=previous[a],
-                                     zfbf_channel=fading).row()
+                                     zfbf_channel=fading)
             previous[a] = part
-            if keep_snapshots and alpha == snapshot_alpha:
+            if alpha == snapshot_alpha:
                 snapshots.append((t, layout, part.vertex_labels.copy(),
                                   part.user_assignment.copy()))
         gains, graph, alone = gains_t, graph_t, alone_t
@@ -277,15 +276,16 @@ def kpi_matrix(result: ExperimentResult, kpi: str) -> np.ndarray:
     return result.kpi_means[:, :, KPI_NAMES.index(kpi)]
 
 
-def run_monte_carlo(config: ExperimentConfig, keep_snapshots: bool = True) -> ExperimentResult:
+def run_monte_carlo(config: ExperimentConfig) -> ExperimentResult:
     """Run all realizations sequentially with the frozen seed-splitting rule.
 
     Aggregation always reduces over the trial-index order, so results do not
-    depend on any execution interleaving.
+    depend on any execution interleaving.  Trial 0 keeps the snapshots of the
+    grid's first alpha.
     """
     config.validate()
     trials = [run_trial(config, trial_seed(config.master_seed, i),
-                        keep_snapshots=keep_snapshots and i == 0)
+                        snapshot_alpha=config.alpha_grid[0] if i == 0 else None)
               for i in range(config.realizations)]
     return ExperimentResult(config=config, trials=trials)
 
@@ -343,7 +343,7 @@ def emit_outputs(result: ExperimentResult, config: ExperimentConfig,
 
 def _write_metrics(result: ExperimentResult, path: str, first_trial: int) -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("trial,step,alpha,sum_rate,temporal_smoothness,handovers,zfbf_sum_rate\n")
+        fh.write(",".join(("trial", "step", "alpha") + KPI_NAMES) + "\n")
         for i, trial in enumerate(result.trials):
             for t, step in enumerate(trial.kpis):
                 for alpha, values in zip(trial.alpha_grid, step):

@@ -1,13 +1,13 @@
 """Per-step KPIs: temporal smoothness, handover counting, ZF downlink rates.
 
-`record_step` scores one step; `MetricsRecord.row` gives its KPIs in
-KPI_NAMES order with NaN where undefined, which is one row of a trial's
+`record_step` scores one step as a `MetricsRecord`: the KPIs in KPI_NAMES
+order with NaN where undefined, which is one row of a trial's
 (time_steps, n_alpha, 4) KPI array in the harness and the column order of
 metrics.csv.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -18,22 +18,17 @@ from .clustering import Partition
 # means the zero-forcing solve went numerically wrong
 _ZF_CROSSTALK_TOL = 1e-9
 
-KPI_NAMES = ("sum_rate", "temporal_smoothness", "handovers", "zfbf_sum_rate")
 
+class MetricsRecord(NamedTuple):
+    """KPIs of one time step under one partition, NaN where undefined."""
 
-@dataclass
-class MetricsRecord:
-    """KPIs of one time step under one partition."""
-
-    time_index: int
     sum_rate: float
-    temporal_smoothness: Optional[float]  # undefined on the first step
-    handovers: Optional[int]              # undefined on the first step
-    zfbf_sum_rate: Optional[float]
+    temporal_smoothness: float  # NaN on the first step
+    handovers: float            # NaN on the first step
+    zfbf_sum_rate: float        # NaN when ZF evaluation is off
 
-    def row(self) -> list:
-        """The KPIs in KPI_NAMES order, NaN where undefined."""
-        return [np.nan if (v := getattr(self, k)) is None else v for k in KPI_NAMES]
+
+KPI_NAMES = MetricsRecord._fields
 
 
 def temporal_smoothness(gains_prev: np.ndarray, partition_t: Partition,
@@ -140,17 +135,11 @@ def record_step(time_index: int, gains_t: np.ndarray, partition_t: Partition,
                 params: RadioParams, gains_prev: Optional[np.ndarray] = None,
                 partition_prev: Optional[Partition] = None,
                 zfbf_channel: Optional[np.ndarray] = None) -> MetricsRecord:
-    """Bundle all KPIs of one step; history-based ones stay None without history."""
-    smoothness = None
-    if gains_prev is not None:
-        smoothness = temporal_smoothness(gains_prev, partition_t, params)
-    handovers = None
-    if partition_prev is not None:
-        handovers = handover_count(partition_prev, partition_t)
-    zf_rate = None
-    if zfbf_channel is not None:
-        zf_rate = zfbf_evaluation(zfbf_channel, partition_t, params).sum_rate
-    return MetricsRecord(time_index=time_index,
-                         sum_rate=sum_rate(gains_t, partition_t, params),
-                         temporal_smoothness=smoothness, handovers=handovers,
-                         zfbf_sum_rate=zf_rate)
+    """All KPIs of one step; the history-based ones are NaN without history."""
+    # time_index is unused; perfbench/run.py passes it positionally
+    return MetricsRecord(
+        sum_rate(gains_t, partition_t, params),
+        np.nan if gains_prev is None else temporal_smoothness(gains_prev, partition_t, params),
+        np.nan if partition_prev is None else handover_count(partition_prev, partition_t),
+        np.nan if zfbf_channel is None else
+        zfbf_evaluation(zfbf_channel, partition_t, params).sum_rate)

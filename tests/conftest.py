@@ -2,12 +2,32 @@ import numpy as np
 import pytest
 
 from cfnet.channel import RadioParams, channel_gains, sum_rate
-from cfnet.clustering import SpectralConfig, initial_partition, temporal_smoothed_partition
-from cfnet.graph import build_graph
+from cfnet.clustering import (Partition, SpectralConfig, initial_partition,
+                              temporal_smoothed_partition)
+from cfnet.graph import AffinityGraph, build_graph
 from cfnet.metrics import handover_count, temporal_smoothness
 from cfnet.topology import MobilityParams, generate_layout, step_waypoint
 
 TREND_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def graph_pair(seed, num_users, num_bs):
+    """Graphs of a seeded layout and of the same layout one waypoint step later."""
+    lay = generate_layout(num_users, num_bs, seed=seed)
+    g0 = build_graph(channel_gains(lay, RadioParams()))
+    lay1 = step_waypoint(lay, MobilityParams(), seed=(seed, 1))
+    g1 = build_graph(channel_gains(lay1, RadioParams()))
+    return g0, g1
+
+
+def graph_from_weights(w, anchor=()):
+    """Graph with the given weights, its Laplacian and user anchors."""
+    lap = np.diag(w.sum(axis=1)) - w
+    return AffinityGraph(anchor=np.asarray(anchor, dtype=np.int64), weights=w, laplacian=lap)
+
+
+def make_partition(labels, anchor, M):
+    return Partition.from_vertex_labels(np.asarray(labels), M, np.asarray(anchor))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cfnet.channel import RadioParams, channel_gains, complex_channel, sum_rate
-from cfnet.clustering import Partition, SpectralConfig, spectral_partition, temporal_smoothed_partition
+from cfnet.clustering import Partition, SpectralConfig, initial_partition, temporal_smoothed_partition
 from cfnet.graph import build_graph
 from cfnet.harness import (ExperimentConfig, derive_stream, emit_outputs,
                            kpi_matrix, run_monte_carlo, run_trial, trial_seed,
@@ -44,7 +44,7 @@ FIG_TREND_CONFIG = ExperimentConfig(
 
 @pytest.fixture(scope="module")
 def fig_trend_result():
-    return run_monte_carlo(FIG_TREND_CONFIG, keep_snapshots=False)
+    return run_monte_carlo(FIG_TREND_CONFIG)
 
 
 def _adjacent_ok(matrix: np.ndarray, a: int, b: int, direction: int):
@@ -102,7 +102,7 @@ def test_c3_endpoint_equivalence():
     all_equal = True
     for i in range(cfg.realizations):
         base = trial_seed(cfg.master_seed, i)
-        trial = run_trial(cfg, base, keep_snapshots=True, snapshot_alpha=1.0)
+        trial = run_trial(cfg, base, snapshot_alpha=1.0)
         radio = cfg.radio_params()
         km = derive_stream(base, STREAM_KMEANS)
         lay = generate_layout(cfg.K, cfg.L, derive_stream(base, STREAM_LAYOUT))
@@ -111,7 +111,7 @@ def test_c3_endpoint_equivalence():
                 lay = step_waypoint(lay, cfg.mobility_params(),
                                     derive_stream(base, STREAM_MOBILITY, t))
             gains = channel_gains(lay, radio)
-            bench = spectral_partition(build_graph(gains), cfg.spectral_config(1.0, km))
+            bench = initial_partition(build_graph(gains), cfg.spectral_config(1.0, km))
             _, _, labels, assignment = trial.snapshots[t]
             if not (np.array_equal(labels, bench.vertex_labels)
                     and np.array_equal(assignment, bench.user_assignment)

@@ -3,13 +3,10 @@ import pytest
 
 from cfnet.channel import (D_MIN, RadioParams, channel_gains, complex_channel,
                            per_user_sinr, sum_rate, user_rate)
-from cfnet.clustering import Partition
 from cfnet.graph import build_graph
 from cfnet.topology import Layout, generate_layout
 
-
-def make_partition(labels, anchor, M):
-    return Partition.from_vertex_labels(np.asarray(labels), M, np.asarray(anchor))
+from conftest import make_partition
 
 
 def test_colocated_pair_clamps_to_d_min():

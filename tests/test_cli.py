@@ -42,7 +42,7 @@ def test_config_file_with_flag_override(tmp_path):
     assert "K = 5" in echoed
 
 
-def test_config_error_exit_code():
+def test_config_error_exit_code(tmp_path):
     assert main(["run", "--K", "0"]) == 1
     assert main(["run", "--config", "/does/not/exist"]) == 1
     assert main(["run", "--alpha-grid", ""]) == 1
@@ -60,6 +60,19 @@ def test_config_error_exit_code():
     assert main(["run", "--pt-over-sigma2-db", "1e308"]) == 1   # linear power overflows
     assert main(["run", "--pt-over-sigma2-db=-4000"]) == 1      # linear power underflows to 0
     assert main(["run", "--beta", "-1"]) == 1
+    # usage errors: argparse's own exit code 2 would read as a numerical failure
+    assert main(["trial", "--trial-index", "abc"]) == 1
+    assert main(["run", "--bogus", "1"]) == 1
+    assert main(["oracle-check", "--instances", "x"]) == 1
+    assert main([]) == 1
+    assert main(["run", "--help"]) == 0
+    not_utf8 = tmp_path / "bad.cfg"
+    not_utf8.write_bytes(b"K = 5\n\xff\n")
+    assert main(["run", "--config", str(not_utf8)]) == 1
+    # '#' and line breaks would be read as a comment and as more keys
+    assert main(["run", *BASE, "--outputs", str(tmp_path / "out#1")]) == 1
+    assert main(["run", *BASE, "--realizations", "3",
+                 "--outputs", f"{tmp_path / 'x'}\nrealizations = 1"]) == 1
 
 
 def test_trial_command_dumps_snapshots(tmp_path):

@@ -2,31 +2,12 @@ import numpy as np
 import pytest
 
 from cfnet import clustering
-from cfnet.channel import RadioParams, channel_gains
 from cfnet.clustering import (Partition, SpectralConfig, blended_laplacian,
                               initial_partition, kmeans_rows,
-                              smallest_eigenvectors, spectral_partition,
-                              temporal_smoothed_partition)
-from cfnet.graph import AffinityGraph, build_graph
+                              smallest_eigenvectors, temporal_smoothed_partition)
 from cfnet.oracle import blended_objective, brute_force_best
-from cfnet.topology import MobilityParams, generate_layout, step_waypoint
 
-from conftest import trend_holds
-
-
-def graph_from_weights(w, anchor=None):
-    lap = np.diag(w.sum(axis=1)) - w
-    if anchor is None:
-        anchor = np.zeros(1, dtype=np.int64)
-    return AffinityGraph(anchor=np.asarray(anchor), weights=w, laplacian=lap)
-
-
-def graph_pair(seed, num_users=10, num_bs=8):
-    lay = generate_layout(num_users, num_bs, seed=seed)
-    g0 = build_graph(channel_gains(lay, RadioParams()))
-    lay1 = step_waypoint(lay, MobilityParams(), seed=(seed, 1))
-    g1 = build_graph(channel_gains(lay1, RadioParams()))
-    return g0, g1
+from conftest import graph_from_weights, graph_pair, trend_holds
 
 
 # ---------------------------------------------------------------- blending
@@ -338,17 +319,17 @@ def test_batched_seeding_replays_generator_choice():
 # ---------------------------------------------------------------- pipeline
 
 def test_alpha_one_equals_plain_spectral_clustering():
-    g0, g1 = graph_pair(2)
+    g0, g1 = graph_pair(2, 10, 8)
     for seed in (0, 1, 2):
         cfg = SpectralConfig(alpha=1.0, M=3, seed=seed)
         smoothed = temporal_smoothed_partition(g0, g1, cfg)
-        plain = spectral_partition(g1, cfg)
+        plain = initial_partition(g1, cfg)
         assert np.array_equal(smoothed.vertex_labels, plain.vertex_labels)
         assert np.array_equal(smoothed.user_assignment, plain.user_assignment)
 
 
 def test_equal_graphs_make_alpha_irrelevant():
-    g0, _ = graph_pair(4)
+    g0, _ = graph_pair(4, 10, 8)
     labels = None
     for alpha in (0.0, 0.25, 0.6, 1.0):
         cfg = SpectralConfig(alpha=alpha, M=3, seed=9)
@@ -359,7 +340,7 @@ def test_equal_graphs_make_alpha_irrelevant():
 
 
 def test_initial_partition_definition():
-    g0, _ = graph_pair(6)
+    g0, _ = graph_pair(6, 10, 8)
     cfg = SpectralConfig(alpha=0.4, M=2, seed=5)
     a = initial_partition(g0, cfg)
     b = temporal_smoothed_partition(g0, g0, cfg)
@@ -367,7 +348,7 @@ def test_initial_partition_definition():
 
 
 def test_single_group_collapses_labels():
-    g0, _ = graph_pair(8)
+    g0, _ = graph_pair(8, 10, 8)
     part = initial_partition(g0, SpectralConfig(alpha=1.0, M=1, seed=0))
     assert np.all(part.vertex_labels == 0)
 
@@ -379,7 +360,7 @@ def test_disconnected_components_split_exactly():
     for i, j in ((3, 4), (4, 5), (3, 5)):
         w[i, j] = w[j, i] = 3.0
     g = graph_from_weights(w, anchor=[0, 3])
-    part = spectral_partition(g, SpectralConfig(alpha=1.0, M=2, seed=2))
+    part = initial_partition(g, SpectralConfig(alpha=1.0, M=2, seed=2))
     assert len(set(part.vertex_labels[:3].tolist())) == 1
     assert len(set(part.vertex_labels[3:].tolist())) == 1
     assert part.vertex_labels[0] != part.vertex_labels[3]

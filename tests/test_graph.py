@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfnet.channel import RadioParams, channel_gains
-from cfnet.graph import AffinityGraph, build_graph
+from cfnet.graph import build_graph
 from cfnet.oracle import blended_objective, enumerate_partitions
 from cfnet.topology import generate_layout
 
-
-def graph_from_weights(w):
-    lap = np.diag(w.sum(axis=1)) - w
-    return AffinityGraph(anchor=np.zeros(0, np.int64), weights=w, laplacian=lap)
+from conftest import graph_from_weights
 
 
 def random_graph(seed, num_users=8, num_bs=6):

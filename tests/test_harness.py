@@ -113,14 +113,14 @@ def test_common_random_numbers_across_alpha_grids():
 def test_alpha_one_branch_matches_benchmark_replay():
     # independent replay: plain per-step spectral clustering with shared seeds
     from cfnet.channel import channel_gains, sum_rate as rate_of
-    from cfnet.clustering import spectral_partition
+    from cfnet.clustering import initial_partition
     from cfnet.graph import build_graph
     from cfnet.harness import (STREAM_KMEANS, STREAM_LAYOUT, STREAM_MOBILITY)
     from cfnet.topology import generate_layout, step_waypoint
 
     cfg = dataclasses.replace(SMALL, alpha_grid=(1.0,), evaluate_zfbf=False)
     base = trial_seed(cfg.master_seed, 1)
-    trial = run_trial(cfg, base, keep_snapshots=True, snapshot_alpha=1.0)
+    trial = run_trial(cfg, base, snapshot_alpha=1.0)
 
     radio = cfg.radio_params()
     km = derive_stream(base, STREAM_KMEANS)
@@ -131,7 +131,7 @@ def test_alpha_one_branch_matches_benchmark_replay():
                                 derive_stream(base, STREAM_MOBILITY, t))
         gains = channel_gains(lay, radio)
         graph = build_graph(gains)
-        bench = spectral_partition(graph, cfg.spectral_config(1.0, km))
+        bench = initial_partition(graph, cfg.spectral_config(1.0, km))
         _, _, labels, assignment = trial.snapshots[t]
         assert np.array_equal(labels, bench.vertex_labels)
         assert np.array_equal(assignment, bench.user_assignment)
@@ -144,8 +144,7 @@ def test_alpha_zero_reuse_is_exact():
     # beside alpha = 1 it reuses that branch's labels from the step before
     for i in range(2):
         trials = [run_trial(dataclasses.replace(SMALL, alpha_grid=grid, time_steps=5),
-                            trial_seed(SMALL.master_seed, i),
-                            keep_snapshots=True, snapshot_alpha=0.0)
+                            trial_seed(SMALL.master_seed, i), snapshot_alpha=0.0)
                   for grid in ((0.0,), (0.0, 1.0), (1.0, 0.0))]
         lone = trials[0]
         for trial in trials[1:]:
@@ -176,7 +175,7 @@ def test_alpha_zero_reuses_previous_alpha_one_clustering(monkeypatch):
 
 def test_snapshot_alpha_must_be_on_grid():
     with pytest.raises(ConfigError):
-        run_trial(SMALL, trial_seed(7, 0), keep_snapshots=True, snapshot_alpha=0.123)
+        run_trial(SMALL, trial_seed(7, 0), snapshot_alpha=0.123)
 
 
 # ------------------------------------------------------------- monte carlo

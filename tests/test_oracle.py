@@ -4,11 +4,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from cfnet.channel import RadioParams, channel_gains
-from cfnet.graph import build_graph
 from cfnet.oracle import (BudgetExceeded, blended_objective, brute_force_best,
                           enumerate_partitions, random_instances)
-from cfnet.topology import MobilityParams, generate_layout, step_waypoint
+
+from conftest import graph_pair
 
 
 @lru_cache(maxsize=None)
@@ -21,14 +20,6 @@ def stirling2(n: int, m: int) -> int:
     if n == 0 or m == 0 or m > n:
         return 0
     return m * stirling2(n - 1, m) + stirling2(n - 1, m - 1)
-
-
-def graph_pair(seed, num_users=8, num_bs=6):
-    lay = generate_layout(num_users, num_bs, seed=seed)
-    g0 = build_graph(channel_gains(lay, RadioParams()))
-    lay2 = step_waypoint(lay, MobilityParams(), seed=(seed, 1))
-    g1 = build_graph(channel_gains(lay2, RadioParams()))
-    return g0, g1
 
 
 def test_stirling_base_values():
@@ -91,9 +82,9 @@ def test_brute_force_zero_cut_on_disconnected_components():
 
 
 def test_alpha_zero_ignores_current_graph():
-    g_prev, g_t = graph_pair(1)
+    g_prev, g_t = graph_pair(1, 8, 6)
     _, obj_a = brute_force_best(g_prev, g_t, alpha=0.0, num_groups=2)
-    g_prev2, g_other = graph_pair(99)
+    g_prev2, g_other = graph_pair(99, 8, 6)
     _, obj_b = brute_force_best(g_prev, g_other, alpha=0.0, num_groups=2)
     assert obj_a == pytest.approx(obj_b)
 
@@ -124,7 +115,7 @@ def test_brute_force_matches_independent_double_enumeration():
 
 
 def test_blended_objective_endpoints():
-    g_prev, g_t = graph_pair(13)
+    g_prev, g_t = graph_pair(13, 8, 6)
     labels = np.array([0, 1, 0, 1, 0, 1])
     full = blended_objective(g_prev, g_t, labels, 1.0)
     hist = blended_objective(g_prev, g_t, labels, 0.0)
