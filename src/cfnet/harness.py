@@ -13,7 +13,11 @@ t clusters exactly what alpha = 1 (or the bootstrap, at step 1) clustered at
 step t - 1: the previous graph's Laplacian, which the blend returns as an
 exact copy at both endpoints, with the same seed.  `run_trial` reuses those
 vertex labels instead of clustering again, and maps them to users through the
-current anchors; the outputs are the same bytes as without the reuse.
+current anchors; the outputs are the same bytes as without the reuse.  The
+other branches of a step (alpha = 0 too, when the grid has no 1.0 to reuse
+from) are clustered as one batch by `temporal_smoothed_partitions`, which
+gives each branch the partition it would get alone.  An alpha_grid that
+repeats a value (0.0 and -0.0 count as equal) is a config error.
 
 Results: a trial keeps its KPIs in one float array `kpis` of shape
 (time_steps, n_alpha, 4), each (step, alpha) row the record `record_step`
@@ -32,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import RadioParams, channel_gains, complex_channel
-from .clustering import Partition, SpectralConfig, initial_partition, temporal_smoothed_partition
+from .clustering import Partition, SpectralConfig, initial_partition, temporal_smoothed_partitions
 from .graph import build_graph
 from .metrics import KPI_NAMES, record_step
 from .topology import Layout, MobilityParams, generate_layout, step_waypoint
@@ -77,6 +81,8 @@ class ExperimentConfig:
             raise ConfigError("cannot form more subnetworks than base stations")
         if not self.alpha_grid:
             raise ConfigError("alpha_grid must not be empty")
+        if len(set(self.alpha_grid)) != len(self.alpha_grid):   # 0.0 == -0.0
+            raise ConfigError("alpha_grid must not repeat a value")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be at least 0")
         try:  # the stage objects hold every other rule
@@ -118,7 +124,8 @@ def _parse_value(name: str, kind, raw: str):
         if kind is float:
             return float(raw)
         if kind is tuple:
-            return tuple(float(v) for v in raw.split(",") if v.strip() != "")
+            # + 0.0 reads -0.0 as 0.0, which metrics.csv would write as -0
+            return tuple(float(v) + 0.0 for v in raw.split(",") if v.strip() != "")
         return raw
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"cannot parse value for '{name}': {raw!r}") from exc
@@ -211,7 +218,8 @@ def run_trial(config: ExperimentConfig, seed,
         if config.evaluate_zfbf else None
 
     # the bootstrap step has no history, so it is alpha-independent
-    first = initial_partition(graph, config.spectral_config(1.0, kmeans_seed))
+    spectral = config.spectral_config(1.0, kmeans_seed)
+    first = initial_partition(graph, spectral)
     kpis = np.empty((config.time_steps, len(alphas), len(KPI_NAMES)))
     kpis[0] = record_step(0, gains, first, radio, zfbf_channel=fading)
     previous: list[Partition] = [first for _ in alphas]
@@ -227,13 +235,16 @@ def run_trial(config: ExperimentConfig, seed,
         graph_t = build_graph(gains_t)
         fading = complex_channel(layout, radio, derive_stream(base, STREAM_FADING, t)) \
             if config.evaluate_zfbf else None
+        # alpha = 0 reuses `alone`; every other branch is clustered in one batch
+        reuse = alone is not None
+        fresh = iter(temporal_smoothed_partitions(
+            graph, graph_t, spectral, [alpha for alpha in alphas if not (alpha == 0.0 and reuse)]))
         alone_t = None
         for a, alpha in enumerate(alphas):
-            if alpha == 0.0 and alone is not None:
+            if alpha == 0.0 and reuse:
                 part = Partition.from_vertex_labels(alone, config.M, graph_t.anchor)
             else:
-                part = temporal_smoothed_partition(
-                    graph, graph_t, config.spectral_config(alpha, kmeans_seed))
+                part = next(fresh)
             if alpha == 1.0:
                 alone_t = part.vertex_labels
             kpis[t, a] = record_step(t, gains_t, part, radio, gains_prev=gains,

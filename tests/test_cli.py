@@ -60,6 +60,9 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--pt-over-sigma2-db", "1e308"]) == 1   # linear power overflows
     assert main(["run", "--pt-over-sigma2-db=-4000"]) == 1      # linear power underflows to 0
     assert main(["run", "--beta", "-1"]) == 1
+    # a repeated alpha would write its rows and snapshots twice; -0.0 is 0.0
+    assert main(["run", "--alpha-grid", "0.5,0.5"]) == 1
+    assert main(["run", "--alpha-grid", "0.0,-0.0"]) == 1
     # usage errors: argparse's own exit code 2 would read as a numerical failure
     assert main(["trial", "--trial-index", "abc"]) == 1
     assert main(["run", "--bogus", "1"]) == 1
@@ -142,3 +145,18 @@ def test_example_config_outputs_are_pinned(tmp_path):
                  "--realizations", "4", "--outputs", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == (
         "f6b31295fa8ac20f8845e175f56d91a90804a06943ba7fa5b6a0a932e96e47e9")
+
+
+def test_unsorted_grid_without_alpha_one_outputs_are_pinned(tmp_path):
+    """metrics.csv of the example config on the grid 0.9, 0.0, 0.25.
+
+    Without alpha = 1 there are no labels for alpha = 0 to reuse after the
+    first step, so it is clustered in one batch with the other branches.
+    The hash is that of clustering every branch on its own; it holds on
+    numpy 2.4.6 with OpenBLAS 0.3.31.
+    """
+    assert main(["run", "--config", os.path.join(ROOT, "example.cfg"),
+                 "--alpha-grid", "0.9,0.0,0.25", "--realizations", "4",
+                 "--outputs", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == (
+        "200511870570e7540652ee6fb8b2b0843824141768b0c63a5a8ac54cbd7897d6")

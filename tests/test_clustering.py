@@ -270,11 +270,12 @@ def test_kmeans_matches_reference_implementation():
 def lloyd_runs(restarts=3):
     """Per restart of every fuzz input: rows, the batched seeding's centers,
     the library's (labels, sse) from the batched Lloyd run of all restarts and
-    the reference's (labels, sse) from that restart alone."""
+    the reference's (labels, sse) from that restart alone.  The seeding runs
+    on a stack of one entry."""
     root = np.random.SeedSequence(5)
     for rows, m, _ in kmeans_fuzz_inputs():
         rngs = [_ref_restart_rng(root, r) for r in range(restarts)]
-        centers = clustering._kmeans_pp_centers(rows, m, rngs)
+        centers = clustering._kmeans_pp_centers(rows[None], m, rngs)[0]
         labels, sse = clustering._lloyd(rows, centers, 100, 1e-9)
         for r in range(restarts):
             yield (rows, centers[r], (labels[r], sse[r]),
@@ -306,14 +307,40 @@ def test_batched_seeding_replays_generator_choice():
     # the weighted draw replicates Generator.choice(n, p=...): the same rows
     # are picked and every Generator ends in the same state.  A numpy release
     # that changes how choice draws fails here.
+    # With a stack of one entry, restarts that reach a zero total (the
+    # all-identical-rows inputs) are replayed from their reset Generator.
     root = np.random.SeedSequence(99)
     for rows, m, _ in kmeans_fuzz_inputs():
         rngs = [_ref_restart_rng(root, r) for r in range(4)]
-        centers = clustering._kmeans_pp_centers(rows, m, rngs)
+        centers = clustering._kmeans_pp_centers(rows[None], m, rngs)
         for r, rng in enumerate(rngs):
             ref_rng = _ref_restart_rng(root, r)
-            assert np.array_equal(centers[r], _ref_kmeans_pp_centers(rows, m, ref_rng))
+            assert np.array_equal(centers[0, r], _ref_kmeans_pp_centers(rows, m, ref_rng))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def stacked_kmeans_inputs():
+    """(stack, M, seed): fuzz inputs of equal shape and M stacked together,
+    and each fuzz input stacked with its rows reversed and with all its rows
+    equal to its first, which reaches a zero seeding total when M > 1."""
+    inputs = list(kmeans_fuzz_inputs())
+    groups = {}
+    for rows, m, seed in inputs:
+        groups.setdefault((rows.shape, m), []).append((rows, seed))
+    for (_, m), members in groups.items():
+        if len(members) > 1:
+            yield np.stack([rows for rows, _ in members]), m, members[0][1]
+    for rows, m, seed in inputs[::3]:
+        yield np.stack([rows, rows[::-1], np.broadcast_to(rows[0], rows.shape)]), m, seed
+
+
+def test_stacked_kmeans_matches_one_at_a_time():
+    for stack, m, seed in stacked_kmeans_inputs():
+        labels = kmeans_rows(stack, m, seed=seed)
+        assert labels.shape == stack.shape[:2]
+        for rows, got in zip(stack, labels):
+            assert np.array_equal(got, kmeans_rows(rows, m, seed=seed))
+            assert np.array_equal(got, _ref_kmeans_rows(rows, m, seed=seed))
 
 
 # ---------------------------------------------------------------- pipeline

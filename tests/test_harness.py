@@ -50,6 +50,15 @@ def test_validation_errors():
         dataclasses.replace(SMALL, realizations=0).validate()
     with pytest.raises(ConfigError):
         dataclasses.replace(SMALL, min_transition=0.6).validate()
+    for repeated in ((0.5, 1.0, 0.5), (0.0, -0.0)):
+        with pytest.raises(ConfigError, match="repeat"):
+            dataclasses.replace(SMALL, alpha_grid=repeated).validate()
+
+
+def test_negative_zero_alpha_reads_as_zero():
+    grid = parse_config_text("alpha_grid = -0.0,1\n").alpha_grid
+    assert grid == (0.0, 1.0)
+    assert np.copysign(1.0, grid[0]) == 1.0   # metrics.csv writes 0, not -0
 
 
 def test_db_conversion():
@@ -159,18 +168,23 @@ def test_alpha_zero_reuse_is_exact():
 
 
 def test_alpha_zero_reuses_previous_alpha_one_clustering(monkeypatch):
+    # a call clusters a stack of alpha branches, so count the stack entries
     from cfnet import clustering
-    calls = []
+    entries = []
     original = clustering.kmeans_rows
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(rows, *args, **kwargs):
+        entries.append(1 if np.ndim(rows) == 2 else len(rows))
+        return original(rows, *args, **kwargs)
 
     monkeypatch.setattr(clustering, "kmeans_rows", counting)
     cfg = dataclasses.replace(SMALL, alpha_grid=(0.0, 1.0), time_steps=5)
     run_trial(cfg, trial_seed(cfg.master_seed, 0))
-    assert len(calls) == 5  # the bootstrap and alpha = 1 at steps 1-4
+    assert sum(entries) == 5  # the bootstrap and alpha = 1 at steps 1-4
+    entries.clear()
+    run_trial(dataclasses.replace(cfg, alpha_grid=(0.25, 0.0, 1.0, 0.5)),
+              trial_seed(cfg.master_seed, 0))
+    assert entries == [1, 3, 3, 3, 3]  # one batch of three branches per step
 
 
 def test_snapshot_alpha_must_be_on_grid():
