@@ -25,6 +25,13 @@ returns.  The last axis follows KPI_NAMES, which is also the column order of
 metrics.csv.  An entry is NaN where its KPI is undefined: the history KPIs at
 step 0, and the ZF rate when ZF evaluation is off.  Every output (per-trial
 means, kpi_matrix, metrics.csv, summary.csv) is a reduction of these arrays.
+
+With ZF on, a trial keeps each step's fading channel in one (time_steps, K,
+L) array and the partition of every row: the bootstrap, then each (step,
+alpha) row.  After the last step one `zfbf_evaluation` call scores them all
+and fills the ZF column; the bootstrap row's rate fills every alpha of step
+0.  That call stacks the subnetworks of all rows by shape and gives each row
+the bits it would get alone, so the outputs are those of a per-row scorer.
 """
 
 import dataclasses
@@ -38,13 +45,15 @@ import numpy as np
 from .channel import RadioParams, channel_gains, complex_channel
 from .clustering import Partition, SpectralConfig, initial_partition, temporal_smoothed_partitions
 from .graph import build_graph
-from .metrics import KPI_NAMES, record_step
+from .metrics import KPI_NAMES, record_step, zfbf_evaluation
 from .topology import Layout, MobilityParams, generate_layout, step_waypoint
 
 STREAM_LAYOUT = 0
 STREAM_MOBILITY = 1
 STREAM_FADING = 2
 STREAM_KMEANS = 3
+
+_ZF = KPI_NAMES.index("zfbf_sum_rate")
 
 
 class ConfigError(Exception):
@@ -214,14 +223,19 @@ def run_trial(config: ExperimentConfig, seed,
     layout = generate_layout(config.K, config.L, derive_stream(base, STREAM_LAYOUT))
     gains = channel_gains(layout, radio)
     graph = build_graph(gains)
-    fading = complex_channel(layout, radio, derive_stream(base, STREAM_FADING, 0)) \
+    # every step's fading channel and every row's (step, partition), for
+    # the one zero-forcing call after the last step
+    channels = np.empty((config.time_steps, config.K, config.L), dtype=complex) \
         if config.evaluate_zfbf else None
+    if channels is not None:
+        channels[0] = complex_channel(layout, radio, derive_stream(base, STREAM_FADING, 0))
 
     # the bootstrap step has no history, so it is alpha-independent
     spectral = config.spectral_config(1.0, kmeans_seed)
     first = initial_partition(graph, spectral)
     kpis = np.empty((config.time_steps, len(alphas), len(KPI_NAMES)))
-    kpis[0] = record_step(0, gains, first, radio, zfbf_channel=fading)
+    kpis[0] = record_step(0, gains, first, radio)
+    scored = [(0, first)]
     previous: list[Partition] = [first for _ in alphas]
     snapshots = None if snapshot_alpha is None else [
         (0, layout, first.vertex_labels.copy(), first.user_assignment.copy())]
@@ -233,8 +247,8 @@ def run_trial(config: ExperimentConfig, seed,
         layout = step_waypoint(layout, mobility, derive_stream(base, STREAM_MOBILITY, t))
         gains_t = channel_gains(layout, radio)
         graph_t = build_graph(gains_t)
-        fading = complex_channel(layout, radio, derive_stream(base, STREAM_FADING, t)) \
-            if config.evaluate_zfbf else None
+        if channels is not None:
+            channels[t] = complex_channel(layout, radio, derive_stream(base, STREAM_FADING, t))
         # alpha = 0 reuses `alone`; every other branch is clustered in one batch
         reuse = alone is not None
         fresh = iter(temporal_smoothed_partitions(
@@ -248,14 +262,18 @@ def run_trial(config: ExperimentConfig, seed,
             if alpha == 1.0:
                 alone_t = part.vertex_labels
             kpis[t, a] = record_step(t, gains_t, part, radio, gains_prev=gains,
-                                     partition_prev=previous[a],
-                                     zfbf_channel=fading)
+                                     partition_prev=previous[a])
+            scored.append((t, part))
             previous[a] = part
             if alpha == snapshot_alpha:
                 snapshots.append((t, layout, part.vertex_labels.copy(),
                                   part.user_assignment.copy()))
         gains, graph, alone = gains_t, graph_t, alone_t
 
+    if channels is not None:
+        zf = zfbf_evaluation(channels, *zip(*scored), radio).sum_rate
+        kpis[0, :, _ZF] = zf[0]
+        kpis[1:, :, _ZF] = zf[1:].reshape(config.time_steps - 1, len(alphas))
     return TrialResult(alpha_grid=alphas, kpis=kpis, snapshots=snapshots)
 
 

@@ -91,7 +91,7 @@ def step_waypoint(layout: Layout, params: MobilityParams, seed) -> Layout:
         inside = np.all((dest >= 0.0) & (dest <= AREA_SIDE), axis=1)
         new_pos[pending[inside]] = dest[inside]
         pending = pending[~inside]
-    else:
+    if pending.size:
         raise RuntimeError("waypoint redraw could not find an in-area destination")
 
     return Layout(bs_positions=layout.bs_positions, user_positions=new_pos)

@@ -172,13 +172,13 @@ def test_c6_zfbf_correctness():
         labels = rng.integers(0, groups, size=num_bs)
         labels[:groups] = np.arange(groups)
         part = Partition.from_vertex_labels(labels, groups, rng.integers(0, num_bs, num_users))
-        result = zfbf_evaluation(h, part, radio)
-        worst_xtalk = max(worst_xtalk, result.max_crosstalk)
+        result = zfbf_evaluation(h[None], [0], [part], radio)
+        worst_xtalk = max(worst_xtalk, result.max_crosstalk[0])
         sizes_bs = np.bincount(part.vertex_labels, minlength=groups)
         sizes_users = np.bincount(part.user_assignment, minlength=groups)
         for m in range(groups):
             if sizes_users[m] > sizes_bs[m]:
-                if np.any(result.per_user_rates[part.user_assignment == m] != 0.0):
+                if np.any(result.per_user_rates[0, part.user_assignment == m] != 0.0):
                     zero_ok = False
     _report("C6 zero-forcing correctness", worst_xtalk <= 1e-9 and zero_ok,
             f"(worst relative crosstalk {worst_xtalk:.2e}, "

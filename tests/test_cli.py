@@ -147,6 +147,28 @@ def test_example_config_outputs_are_pinned(tmp_path):
         "f6b31295fa8ac20f8845e175f56d91a90804a06943ba7fa5b6a0a932e96e47e9")
 
 
+def test_zf_heavy_config_outputs_are_pinned(tmp_path):
+    """metrics.csv of the example config at K/L/M 60/30/12, three trials.
+
+    Five users per subnetwork on average: many 2-3-user and overloaded
+    groups, so every ZF shape path is exercised.  The hash holds on numpy
+    2.4.6 with OpenBLAS 0.3.31.
+    """
+    assert main(["run", "--config", os.path.join(ROOT, "example.cfg"),
+                 "--K", "60", "--L", "30", "--M", "12", "--realizations", "3",
+                 "--outputs", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == (
+        "5acf050225b3045655a7cf44a95476ab6b9c476f672b02a0403bea86ca3198b1")
+
+
+def test_zf_crosstalk_failure_exits_numerical(monkeypatch, tmp_path, capsys):
+    # any multi-user subnetwork now breaks the crosstalk check
+    from cfnet import metrics
+    monkeypatch.setattr(metrics, "_ZF_CROSSTALK_TOL", -1.0)
+    assert main(["run", *BASE, "--outputs", str(tmp_path)]) == 2
+    assert "numerical failure: zero-forcing crosstalk" in capsys.readouterr().err
+
+
 def test_unsorted_grid_without_alpha_one_outputs_are_pinned(tmp_path):
     """metrics.csv of the example config on the grid 0.9, 0.0, 0.25.
 

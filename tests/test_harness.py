@@ -104,10 +104,42 @@ def test_single_step_trial_has_no_history_kpis():
     assert kpis[0, SUM_RATE] > 0.0
 
 
-def test_zfbf_disabled_leaves_kpi_empty():
+def test_zfbf_disabled_leaves_kpi_empty(monkeypatch):
+    from cfnet import harness
+
+    def never(*args, **kwargs):
+        raise AssertionError("zero-forcing is off")
+
+    # no fading channel is drawn or kept, and nothing is zero-forced
+    monkeypatch.setattr(harness, "complex_channel", never)
+    monkeypatch.setattr(harness, "zfbf_evaluation", never)
     cfg = dataclasses.replace(SMALL, evaluate_zfbf=False)
     trial = run_trial(cfg, trial_seed(cfg.master_seed, 0))
     assert np.isnan(trial.kpis[:, :, ZF_RATE]).all()
+
+
+@pytest.mark.parametrize("time_steps", [1, 3])
+def test_zero_forcing_scores_a_trial_in_one_batch(monkeypatch, time_steps):
+    """One call per trial: the bootstrap row, then each (step, alpha) row.
+
+    The bootstrap row's rate fills every alpha at step 0; with one step it is
+    the only row scored.
+    """
+    from cfnet import harness
+    calls = []
+    original = harness.zfbf_evaluation
+
+    def recording(channels, steps, partitions, params):
+        calls.append((channels.shape, list(steps), len(partitions)))
+        return original(channels, steps, partitions, params)
+
+    monkeypatch.setattr(harness, "zfbf_evaluation", recording)
+    cfg = dataclasses.replace(SMALL, time_steps=time_steps)
+    zf = run_trial(cfg, trial_seed(cfg.master_seed, 0)).kpis[:, :, ZF_RATE]
+    steps = [0] + [t for t in range(1, time_steps) for _ in cfg.alpha_grid]
+    assert calls == [((time_steps, cfg.K, cfg.L), steps, len(steps))]
+    assert np.isfinite(zf).all()
+    assert (zf[0] == zf[0, 0]).all()
 
 
 def test_common_random_numbers_across_alpha_grids():

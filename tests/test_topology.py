@@ -42,6 +42,18 @@ def test_zero_transition_keeps_positions():
     assert np.array_equal(out.user_positions, lay.user_positions)
 
 
+def test_redraw_cap_counts_the_last_round(monkeypatch):
+    # a step that places its last users in the final allowed round succeeds
+    from cfnet import topology
+    lay = generate_layout(8, 4, seed=5)
+    monkeypatch.setattr(topology, "_MAX_REDRAW_ROUNDS", 1)
+    out = step_waypoint(lay, MobilityParams(max_transition=0.0), seed=9)
+    assert np.array_equal(out.user_positions, lay.user_positions)
+    monkeypatch.setattr(topology, "_MAX_REDRAW_ROUNDS", 0)
+    with pytest.raises(RuntimeError, match="redraw"):
+        step_waypoint(lay, MobilityParams(max_transition=0.0), seed=9)
+
+
 def test_displace_geometry():
     moved = displace(np.array([[0.5, 0.5]]), np.array([0.3]), np.array([0.0]))
     assert np.allclose(moved, [[0.8, 0.5]])
