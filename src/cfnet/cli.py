@@ -7,7 +7,6 @@ import sys
 import numpy as np
 
 from . import harness, oracle
-from .clustering import SpectralConfig, temporal_smoothed_partition
 from .harness import ConfigError, ExperimentConfig
 
 _EXIT_OK = 0
@@ -75,28 +74,16 @@ def _cmd_oracle_check(args) -> int:
     """Certify the pipeline against brute force on the C2 instance family."""
     if args.instances < 1 or args.seed < 0:
         raise ConfigError("need --instances >= 1 and --seed >= 0")
-    worst_ratio = 0.0
-    trace_ok = quality_ok = True
-    for graph_prev, graph_t, alpha, groups, seed in oracle.random_instances(
-            args.seed, args.instances):
-        spectral = temporal_smoothed_partition(
-            graph_prev, graph_t, SpectralConfig(alpha=alpha, M=groups, seed=seed))
-        _, best_obj = oracle.brute_force_best(graph_prev, graph_t, alpha, groups)
-        spectral_obj = oracle.blended_objective(graph_prev, graph_t,
-                                                spectral.vertex_labels, alpha)
-        for labels in oracle.enumerate_partitions(graph_t.num_vertices, groups):
-            direct = oracle.blended_objective(graph_prev, graph_t, labels, 1.0)
-            z = np.eye(groups)[labels]
-            via_trace = float(np.trace(z.T @ graph_t.laplacian @ z))
-            if abs(direct - via_trace) > 1e-9 * max(1.0, abs(direct)):
-                trace_ok = False
-        if spectral_obj < best_obj - 1e-9 * max(1.0, best_obj):
-            quality_ok = False
-        ratio = spectral_obj / best_obj if best_obj > 0 else 1.0
-        worst_ratio = max(worst_ratio, ratio)
+    certificates = list(oracle.certify(args.seed, args.instances))
+    ratios = [c.ratio for c in certificates]
+    trace_ok = all(c.trace_error <= 1e-9 for c in certificates)
+    quality_ok = not any(c.objective < c.optimum - 1e-9 * max(1.0, c.optimum)
+                         for c in certificates)
+    within = sum(r <= 1.25 for r in ratios) / len(ratios)
     print(f"oracle-check cut-consistency: {'PASS' if trace_ok else 'FAIL'}")
     print(f"oracle-check never-below-optimum: {'PASS' if quality_ok else 'FAIL'}")
-    print(f"oracle-check worst spectral/optimal ratio: {worst_ratio:.4f}")
+    print(f"oracle-check worst spectral/optimal ratio: {max(ratios):.4f}")
+    print(f"oracle-check within 1.25x of optimum: {within:.0%} of {len(ratios)} instances")
     return _EXIT_OK if trace_ok and quality_ok else _EXIT_NUMERICAL
 
 

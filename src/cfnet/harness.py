@@ -348,6 +348,9 @@ def emit_outputs(result: ExperimentResult, config: ExperimentConfig,
                  trial_index: Optional[int] = None) -> list:
     """Write metrics.csv, summary.csv, snapshots and config.echo; return paths.
 
+    Any other snapshot_<t>.csv already in the directory is removed, so the
+    snapshots on disk are always those of this run.
+
     `trial_index` marks the one-trial result of `cfnet trial`: the rows carry
     it, and config.echo opens with the command that reproduces the outputs.
     """
@@ -357,7 +360,9 @@ def emit_outputs(result: ExperimentResult, config: ExperimentConfig,
         written = [_write_metrics(result, os.path.join(outdir, "metrics.csv"),
                                   trial_index or 0),
                    _write_summary(result, os.path.join(outdir, "summary.csv"))]
-        written.extend(_write_snapshots(result, outdir))
+        snapshots = _write_snapshots(result, outdir)
+        _remove_stale_snapshots(outdir, snapshots)
+        written.extend(snapshots)
         echo_path = os.path.join(outdir, "config.echo")
         with open(echo_path, "w", encoding="utf-8", newline="") as fh:
             if trial_index is not None:
@@ -402,6 +407,16 @@ def _write_snapshots(result: ExperimentResult, outdir: str) -> list:
             _write_one_snapshot(layout, labels, assignment, path)
             paths.append(path)
     return paths
+
+
+def _remove_stale_snapshots(outdir: str, kept: list) -> None:
+    # an earlier, longer run in the same directory left snapshot_<t>.csv
+    # files for steps this run does not have
+    keep = {os.path.basename(path) for path in kept}
+    for name in os.listdir(outdir):
+        if (name.startswith("snapshot_") and name.endswith(".csv")
+                and name[len("snapshot_"):-len(".csv")].isdecimal() and name not in keep):
+            os.remove(os.path.join(outdir, name))
 
 
 def _write_one_snapshot(layout: Layout, labels: np.ndarray,

@@ -1,11 +1,11 @@
 """Exhaustive small-instance references for certifying the spectral pipeline."""
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .channel import channel_gains
-from .clustering import Partition
+from .clustering import Partition, SpectralConfig, temporal_smoothed_partition
 from .graph import AffinityGraph, build_graph
 from .harness import (STREAM_KMEANS, STREAM_LAYOUT, STREAM_MOBILITY,
                       ExperimentConfig, derive_stream, trial_seed)
@@ -109,3 +109,41 @@ def random_instances(seed: int, count: int) -> Iterator[tuple]:
                build_graph(channel_gains(moved, radio)),
                INSTANCE_ALPHAS[i % len(INSTANCE_ALPHAS)], groups,
                derive_stream(base, STREAM_KMEANS))
+
+
+class Certificate(NamedTuple):
+    """One instance of `random_instances` scored against its exact optimum.
+
+    `objective` is the blended cut of the pipeline's partition and `optimum`
+    that of `brute_force_best`.  `trace_error` is the worst relative gap
+    |cut - trace(Z^T L Z)| / max(1, |trace|) over the `partitions` (partition,
+    graph) pairs checked: every enumerated partition on both graphs.
+    """
+    objective: float
+    optimum: float
+    trace_error: float
+    partitions: int
+
+    @property
+    def ratio(self) -> float:
+        """objective / optimum, or 1.0 when the optimum is 0."""
+        return self.objective / self.optimum if self.optimum > 0 else 1.0
+
+
+def certify(seed: int, count: int) -> Iterator[Certificate]:
+    """Score the pipeline on each instance of `random_instances(seed, count)`."""
+    for graph_prev, graph_t, alpha, groups, kmeans_seed in random_instances(seed, count):
+        spectral = temporal_smoothed_partition(
+            graph_prev, graph_t, SpectralConfig(alpha=alpha, M=groups, seed=kmeans_seed))
+        _, optimum = brute_force_best(graph_prev, graph_t, alpha, groups)
+        worst, checked = 0.0, 0
+        for labels in enumerate_partitions(graph_t.num_vertices, groups):
+            z = np.eye(groups)[labels]
+            for graph in (graph_prev, graph_t):
+                direct = blended_objective(graph, graph, labels, 1.0)
+                trace = float(np.trace(z.T @ graph.laplacian @ z))
+                worst = max(worst, abs(direct - trace) / max(1.0, abs(trace)))
+                checked += 1
+        yield Certificate(
+            blended_objective(graph_prev, graph_t, spectral.vertex_labels, alpha),
+            optimum, worst, checked)

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from cfnet import oracle
 from cfnet.cli import main
 
@@ -121,18 +123,34 @@ def test_oracle_check_passes():
     assert "never-below-optimum: PASS" in proc.stdout
 
 
-def test_oracle_check_fails_when_laplacian_disagrees_with_weights(monkeypatch, capsys):
+@pytest.mark.parametrize("doubled", [0, 1], ids=["g_prev", "g_t"])
+def test_oracle_check_fails_when_laplacian_disagrees_with_weights(doubled, monkeypatch, capsys):
     # cut-consistency compares the cut on the weights with the Laplacian's
-    # indicator trace, so a Laplacian built from other weights must fail it
+    # indicator trace on both graphs, so a Laplacian built from other weights
+    # must fail it, whichever graph of the pair carries it
     real = oracle.random_instances
 
     def doubled_laplacian(seed, count):
-        for g_prev, g_t, *rest in real(seed, count):
-            yield (g_prev, dataclasses.replace(g_t, laplacian=2.0 * g_t.laplacian), *rest)
+        for instance in real(seed, count):
+            instance = list(instance)
+            graph = instance[doubled]
+            instance[doubled] = dataclasses.replace(graph, laplacian=2.0 * graph.laplacian)
+            yield tuple(instance)
 
     monkeypatch.setattr(oracle, "random_instances", doubled_laplacian)
     assert main(["oracle-check", "--instances", "3", "--seed", "1"]) == 2
     assert "cut-consistency: FAIL" in capsys.readouterr().out
+
+
+def test_oracle_check_reports_the_c2_verdict(capsys):
+    # seed 2025 and 100 instances are gate C2's; its margin is one instance
+    assert main(["oracle-check", "--seed", "2025", "--instances", "100"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "oracle-check cut-consistency: PASS",
+        "oracle-check never-below-optimum: PASS",
+        "oracle-check worst spectral/optimal ratio: 2.4934",
+        "oracle-check within 1.25x of optimum: 96% of 100 instances",
+    ]
 
 
 def test_example_config_outputs_are_pinned(tmp_path):

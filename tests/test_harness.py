@@ -309,6 +309,17 @@ def test_snapshots_written_for_first_trial(tmp_path):
         assert set(labels) == set(range(cfg.M))
 
 
+def test_stale_snapshots_of_a_longer_run_are_removed(tmp_path):
+    cfg = dataclasses.replace(SMALL, outputs=str(tmp_path))
+    for name in ("snapshot_7.csv", "snapshot_x.csv", "notes.csv"):
+        (tmp_path / name).write_text("old\n")
+    emit_outputs(run_monte_carlo(cfg), cfg)
+    assert not (tmp_path / "snapshot_7.csv").exists()
+    assert sorted(p.name for p in tmp_path.glob("snapshot_*.csv")) == [
+        "snapshot_0.csv", "snapshot_1.csv", "snapshot_2.csv", "snapshot_x.csv"]
+    assert (tmp_path / "notes.csv").read_text() == "old\n"
+
+
 def test_long_horizon_outputs_are_pinned(tmp_path):
     """Output bytes and per-trial KPI means at 11 measured steps per trial.
 

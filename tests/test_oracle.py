@@ -123,17 +123,6 @@ def test_blended_objective_endpoints():
     assert mid == pytest.approx(0.5 * full + 0.5 * hist)
 
 
-def test_trace_identity_for_every_enumerated_partition():
-    g_prev, g_t = graph_pair(21, num_users=10, num_bs=7)
-    for M in (2, 3):
-        for labels in enumerate_partitions(7, M):
-            z = np.zeros((7, M))
-            z[np.arange(7), labels] = 1.0
-            for g in (g_prev, g_t):
-                assert blended_objective(g, g, labels, 1.0) == pytest.approx(
-                    float(np.trace(z.T @ g.laplacian @ z)), rel=1e-9, abs=1e-9)
-
-
 def test_random_instances_are_pinned():
     """The C2 instance family: each instance's (L, K, M, alpha) and weights.
 
