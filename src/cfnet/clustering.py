@@ -17,28 +17,33 @@ entry gets the labels it would get on its own.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .graph import AffinityGraph
+
+# the k-means budget of every clustering
+KMEANS_RESTARTS = 10     # k-means++ restarts; the lowest SSE wins
+KMEANS_MAX_ITERS = 100   # Lloyd iterations per restart, at most
+KMEANS_TOL = 1e-9        # relative SSE change that counts as converged
 
 
 @dataclass
 class SpectralConfig:
     alpha: float                 # blend weight on the current graph, in [0, 1]
     M: int                       # number of subnetworks
-    kmeans_restarts: int = 10
-    kmeans_max_iters: int = 100
-    kmeans_tol: float = 1e-9     # relative SSE change that counts as converged
     seed: "int | np.random.SeedSequence" = 0
+    # class constants, not fields: perfbench/tracing.py's partition_key reads them
+    kmeans_restarts: ClassVar[int] = KMEANS_RESTARTS
+    kmeans_max_iters: ClassVar[int] = KMEANS_MAX_ITERS
+    kmeans_tol: ClassVar[float] = KMEANS_TOL
 
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.M < 1:
             raise ValueError("need at least one subnetwork")
-        if self.kmeans_restarts < 1 or self.kmeans_max_iters < 1 or self.kmeans_tol < 0:
-            raise ValueError("need kmeans_restarts, kmeans_max_iters >= 1, kmeans_tol >= 0")
 
 
 @dataclass
@@ -270,9 +275,8 @@ def _restart_seed(root: np.random.SeedSequence, restart: int) -> np.random.SeedS
                                   spawn_key=root.spawn_key + (restart,))
 
 
-def kmeans_rows(rows: np.ndarray, M: int, restarts: int = 10, max_iters: int = 100,
-                tol: float = 1e-9, seed=0) -> np.ndarray:
-    """Cluster rows into M nonempty groups, best of `restarts` k-means++ runs.
+def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
+    """Cluster rows into M nonempty groups, best of KMEANS_RESTARTS k-means++ runs.
 
     `rows` is one (n, d) matrix, which gives (n,) labels, or a (B, n, d)
     stack, which gives (B, n) labels, each entry's equal to a call with that
@@ -281,12 +285,12 @@ def kmeans_rows(rows: np.ndarray, M: int, restarts: int = 10, max_iters: int = 1
     Generator with weighted draws that replicate `Generator.choice` (see
     `_kmeans_pp_centers`).  Then, entry by entry, the Lloyd iterations of all
     restarts run as one batch (see `_lloyd`), each restart until its own
-    convergence (relative SSE change below `tol`) or `max_iters`, with the
-    labels and SSE of a run on its own.  Per entry, the run with the lowest
-    SSE wins and ties keep the earliest restart.  Labels come from the exact squared
-    distances wherever GEMM rounding could change them, so they do not
-    depend on the BLAS build.  Deterministic given (rows, seed).  Rows must
-    be finite, with squared distances that do not overflow.
+    convergence (relative SSE change at most KMEANS_TOL) or KMEANS_MAX_ITERS
+    iterations, with the labels and SSE of a run on its own.  Per entry, the
+    run with the lowest SSE wins and ties keep the earliest restart.  Labels
+    come from the exact squared distances wherever GEMM rounding could change
+    them, so they do not depend on the BLAS build.  Deterministic given (rows,
+    seed).  Rows must be finite, with squared distances that do not overflow.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim not in (2, 3):
@@ -294,21 +298,19 @@ def kmeans_rows(rows: np.ndarray, M: int, restarts: int = 10, max_iters: int = 1
     stack = rows if rows.ndim == 3 else rows[None]
     if not 1 <= M <= stack.shape[1]:
         raise ValueError("cluster count must lie in [1, number of rows]")
-    if restarts < 1 or max_iters < 1:
-        raise ValueError("need restarts >= 1 and max_iters >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
         span = stack.max(axis=1) - stack.min(axis=1)
         spread = stack.shape[1] * (span * span).sum(axis=1)   # bounds every squared distance and SSE
     if not np.isfinite(spread).all():
         raise ValueError("rows must be finite, with squared distances that do not overflow")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rngs = [np.random.default_rng(_restart_seed(root, r)) for r in range(restarts)]
+    rngs = [np.random.default_rng(_restart_seed(root, r)) for r in range(KMEANS_RESTARTS)]
     # Lloyd runs one entry at a time: batched over entries, its (R·B, n, d)
     # temporaries grow B-fold, which at desk scale (B = 5) raised peak memory
     # by 1.4 MB (3%) for about 5% more throughput
     best = []
     for entry, centers in zip(stack, _kmeans_pp_centers(stack, M, rngs)):
-        labels, sse = _lloyd(entry, centers, max_iters, tol)
+        labels, sse = _lloyd(entry, centers, KMEANS_MAX_ITERS, KMEANS_TOL)
         best.append(labels[int(np.argmin(sse))])
     return np.array(best).reshape(rows.shape[:-1])
 
@@ -358,9 +360,7 @@ def temporal_smoothed_partitions(graph_prev: AffinityGraph, graph_t: AffinityGra
         return []
     blends = np.array([blended_laplacian(graph_t.laplacian, graph_prev.laplacian, alpha)
                        for alpha in alphas])
-    labels = kmeans_rows(smallest_eigenvectors(blends, cfg.M), cfg.M,
-                         restarts=cfg.kmeans_restarts, max_iters=cfg.kmeans_max_iters,
-                         tol=cfg.kmeans_tol, seed=cfg.seed)
+    labels = kmeans_rows(smallest_eigenvectors(blends, cfg.M), cfg.M, seed=cfg.seed)
     return [Partition.from_vertex_labels(_descend_cut(blend, raw, cfg.M), cfg.M, graph_t.anchor)
             for blend, raw in zip(blends, labels)]
 

@@ -13,10 +13,10 @@ t clusters exactly what alpha = 1 (or the bootstrap, at step 1) clustered at
 step t - 1: the previous graph's Laplacian, which the blend returns as an
 exact copy at both endpoints, with the same seed.  `run_trial` reuses those
 vertex labels instead of clustering again, and maps them to users through the
-current anchors; the outputs are the same bytes as without the reuse.  The
-other branches of a step (alpha = 0 too, when the grid has no 1.0 to reuse
-from) are clustered as one batch by `temporal_smoothed_partitions`, which
-gives each branch the partition it would get alone.  An alpha_grid that
+current anchors; the outputs are the same bytes as without the reuse.  That
+covers step 1 on any grid and later steps on a grid holding 1.0; every other
+branch of a step is clustered in one batch by `temporal_smoothed_partitions`,
+which gives each branch the partition it would get alone.  An alpha_grid that
 repeats a value (0.0 and -0.0 count as equal) is a config error.
 
 Results: a trial keeps its KPIs in one float array `kpis` of shape
@@ -74,9 +74,6 @@ class ExperimentConfig:
     max_transition: float = 0.5
     min_transition: float = 0.0
     pause_prob: float = 0.0
-    kmeans_restarts: int = 10
-    kmeans_max_iters: int = 100
-    kmeans_tol: float = 1e-9
     outputs: str = "outputs"
     evaluate_zfbf: bool = True
 
@@ -94,6 +91,8 @@ class ExperimentConfig:
             raise ConfigError("alpha_grid must not repeat a value")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be at least 0")
+        if not self.outputs:
+            raise ConfigError("outputs must name a directory, not be empty")
         try:  # the stage objects hold every other rule
             for stage in [self.radio_params(), self.mobility_params(),
                           *(self.spectral_config(a, 0) for a in self.alpha_grid)]:
@@ -113,10 +112,7 @@ class ExperimentConfig:
                               pause_prob=self.pause_prob)
 
     def spectral_config(self, alpha: float, seed) -> SpectralConfig:
-        return SpectralConfig(alpha=alpha, M=self.M,
-                              kmeans_restarts=self.kmeans_restarts,
-                              kmeans_max_iters=self.kmeans_max_iters,
-                              kmeans_tol=self.kmeans_tol, seed=seed)
+        return SpectralConfig(alpha=alpha, M=self.M, seed=seed)
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,

@@ -55,7 +55,7 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--pt-over-sigma2-db=-inf"]) == 1
     assert main(["run", "--beta", "nan"]) == 1
     assert main(["run", "--beta", "inf"]) == 1
-    assert main(["run", "--kmeans-tol", "nan"]) == 1
+    assert main(["run", "--kmeans-restarts", "5"]) == 1   # the k-means budget is fixed
     assert main(["oracle-check", "--instances", "0"]) == 1
     assert main(["run", "--master-seed", "-1"]) == 1
     assert main(["oracle-check", "--seed", "-1"]) == 1
@@ -65,6 +65,8 @@ def test_config_error_exit_code(tmp_path):
     # a repeated alpha would write its rows and snapshots twice; -0.0 is 0.0
     assert main(["run", "--alpha-grid", "0.5,0.5"]) == 1
     assert main(["run", "--alpha-grid", "0.0,-0.0"]) == 1
+    # an empty outputs fails before any trial runs, not as an i/o failure after
+    assert main(["run", *BASE, "--outputs", ""]) == 1
     # usage errors: argparse's own exit code 2 would read as a numerical failure
     assert main(["trial", "--trial-index", "abc"]) == 1
     assert main(["run", "--bogus", "1"]) == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -32,6 +33,19 @@ def test_parse_rejects_unknown_keys_and_garbage():
         parse_config_text("K 3\n")
     with pytest.raises(ConfigError):
         parse_config_text("K = not_a_number\n")
+    # the k-means budget is fixed in code; an older config.echo holding it is rejected
+    with pytest.raises(ConfigError, match="unknown key 'kmeans_restarts'"):
+        parse_config_text("kmeans_restarts = 10\n")
+
+
+def test_readme_config_block_matches_the_defaults():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("### Config file", 1)[1].split("```\n")[1]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    lines = [line for line in lines if line]
+    assert parse_config_text("\n".join(lines)) == ExperimentConfig()
+    assert [line.split("=", 1)[0].strip() for line in lines] == \
+        [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 def test_parse_handles_comments_and_blanks():
@@ -50,6 +64,8 @@ def test_validation_errors():
         dataclasses.replace(SMALL, realizations=0).validate()
     with pytest.raises(ConfigError):
         dataclasses.replace(SMALL, min_transition=0.6).validate()
+    with pytest.raises(ConfigError, match="outputs"):
+        dataclasses.replace(SMALL, outputs="").validate()
     for repeated in ((0.5, 1.0, 0.5), (0.0, -0.0)):
         with pytest.raises(ConfigError, match="repeat"):
             dataclasses.replace(SMALL, alpha_grid=repeated).validate()
@@ -217,6 +233,12 @@ def test_alpha_zero_reuses_previous_alpha_one_clustering(monkeypatch):
     run_trial(dataclasses.replace(cfg, alpha_grid=(0.25, 0.0, 1.0, 0.5)),
               trial_seed(cfg.master_seed, 0))
     assert entries == [1, 3, 3, 3, 3]  # one batch of three branches per step
+    # without 1.0 on the grid, alpha = 0 still reuses the bootstrap at step 1,
+    # and from step 2 on it is clustered with the other branches
+    for grid, expected in (((0.0, 0.5), [1, 1, 2, 2, 2]), ((0.0,), [1, 1, 1, 1])):
+        entries.clear()
+        run_trial(dataclasses.replace(cfg, alpha_grid=grid), trial_seed(cfg.master_seed, 0))
+        assert entries == expected
 
 
 def test_snapshot_alpha_must_be_on_grid():
