@@ -212,11 +212,12 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
     labels = np.zeros((R, n), dtype=np.int64)
     sse = np.full(R, np.nan)             # NaN fails the first convergence test
     act = np.arange(R)
-    for _ in range(max_iters):
-        a = act.size
-        cc = np.einsum("mrj,mrj->mr", cen, cen)
-        # (M, a * n) GEMM distances; overflow leaves inf or NaN, never certified
-        with np.errstate(over="ignore", invalid="ignore"):
+    # entered once per call, not once per iteration: it costs about 2 us
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iters):
+            a = act.size
+            cc = np.einsum("mrj,mrj->mr", cen, cen)
+            # (M, a * n) GEMM distances; overflow leaves inf or NaN, never certified
             dist = (cen.reshape(M * a, d) @ rows.T).reshape(M, a, n)
             dist *= -2.0
             dist += xx
@@ -228,44 +229,44 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
             dist[pick] = np.inf
             gap = dist.min(axis=0) - best
             bound = _gemm_gap_bound(np.sqrt(xx) + np.sqrt(cc.max(axis=0))[:, None], d)
-        k = np.flatnonzero(~(gap.reshape(a, n) > bound))   # NaN gaps take the exact form too
-        if k.size:
-            # one centre at a time, so no temporary outgrows the rows taken
-            taken, restart = rows[k % n], k // n
-            exact = np.empty((k.size, M))
-            for m in range(M):
-                exact[:, m] = ((taken - cen[m, restart]) ** 2).sum(axis=1)
-            lab[k] = exact.argmin(axis=1)
-        lab = lab.reshape(a, n)
-        group = lab * a + np.arange(a)[:, None]
-        counts = np.bincount(group.ravel(), minlength=M * a).reshape(M, a)
-        if not counts.all():
-            # an emptied cluster steals the point lying farthest from its own
-            # centroid, skipping singletons so no other cluster is emptied;
-            # that reads each row's exact distance to its own centroid only
-            for r in np.flatnonzero((counts == 0).any(axis=0)):
-                fit = ((rows - cen[lab[r], r]) ** 2).sum(axis=1)
-                for m in np.flatnonzero(counts[:, r] == 0):
-                    worst = int(np.argmax(np.where(counts[lab[r], r] <= 1, -1.0, fit)))
-                    counts[lab[r, worst], r] -= 1
-                    lab[r, worst] = m
-                    counts[m, r] = 1
+            k = np.flatnonzero(~(gap.reshape(a, n) > bound))   # NaN gaps take the exact form too
+            if k.size:
+                # one centre at a time, so no temporary outgrows the rows taken
+                taken, restart = rows[k % n], k // n
+                exact = np.empty((k.size, M))
+                for m in range(M):
+                    exact[:, m] = ((taken - cen[m, restart]) ** 2).sum(axis=1)
+                lab[k] = exact.argmin(axis=1)
+            lab = lab.reshape(a, n)
             group = lab * a + np.arange(a)[:, None]
-        # the scatter-add sums each group in row order, as mean(axis=0) of
-        # the group's rows does when they have two or more columns
-        sums = np.bincount((group[:, :, None] * d + np.arange(d)).ravel(),
-                           weights=weights[:a * n * d], minlength=M * a * d)
-        cen = sums.reshape(M, a, d) / counts[:, :, None]
-        sq = rows - cen.reshape(M * a, d)[group]
-        sq *= sq
-        cur = sq.reshape(a, n * d).sum(axis=1)
-        prev = sse[act]
-        labels[act] = lab
-        sse[act] = cur
-        going = ~(np.abs(prev - cur) <= tol * np.maximum(prev, 1e-12))
-        if not going.any():
-            break
-        act, cen = act[going], cen[:, going]
+            counts = np.bincount(group.ravel(), minlength=M * a).reshape(M, a)
+            if not counts.all():
+                # an emptied cluster steals the point lying farthest from its own
+                # centroid, skipping singletons so no other cluster is emptied;
+                # that reads each row's exact distance to its own centroid only
+                for r in np.flatnonzero((counts == 0).any(axis=0)):
+                    fit = ((rows - cen[lab[r], r]) ** 2).sum(axis=1)
+                    for m in np.flatnonzero(counts[:, r] == 0):
+                        worst = int(np.argmax(np.where(counts[lab[r], r] <= 1, -1.0, fit)))
+                        counts[lab[r, worst], r] -= 1
+                        lab[r, worst] = m
+                        counts[m, r] = 1
+                group = lab * a + np.arange(a)[:, None]
+            # the scatter-add sums each group in row order, as mean(axis=0) of
+            # the group's rows does when they have two or more columns
+            sums = np.bincount((group[:, :, None] * d + np.arange(d)).ravel(),
+                               weights=weights[:a * n * d], minlength=M * a * d)
+            cen = sums.reshape(M, a, d) / counts[:, :, None]
+            sq = rows - cen.reshape(M * a, d)[group]
+            sq *= sq
+            cur = sq.reshape(a, n * d).sum(axis=1)
+            prev = sse[act]
+            labels[act] = lab
+            sse[act] = cur
+            going = ~(np.abs(prev - cur) <= tol * np.maximum(prev, 1e-12))
+            if not going.any():
+                break
+            act, cen = act[going], cen[:, going]
     return labels, sse
 
 
@@ -291,6 +292,7 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     come from the exact squared distances wherever GEMM rounding could change
     them, so they do not depend on the BLAS build.  Deterministic given (rows,
     seed).  Rows must be finite, with squared distances that do not overflow.
+    With M = 1 every label is 0, returned before any Generator is built.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim not in (2, 3):
@@ -303,6 +305,8 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
         spread = stack.shape[1] * (span * span).sum(axis=1)   # bounds every squared distance and SSE
     if not np.isfinite(spread).all():
         raise ValueError("rows must be finite, with squared distances that do not overflow")
+    if M == 1:
+        return np.zeros(rows.shape[:-1], dtype=np.int64)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(_restart_seed(root, r)) for r in range(KMEANS_RESTARTS)]
     # Lloyd runs one entry at a time: batched over entries, its (R·B, n, d)

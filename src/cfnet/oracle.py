@@ -1,5 +1,16 @@
-"""Exhaustive small-instance references for certifying the spectral pipeline."""
+"""Exhaustive small-instance references for certifying the spectral pipeline.
 
+`brute_force_best` scores every partition of a (vertex count, group count)
+at once: the canonical partition table is built once per pair and cached,
+and one numpy pass gives each row's blended cut as the blended weights'
+total minus their within-group part.  That pass sums in another order than
+`blended_objective`, so only the rows within a rounding bound of its minimum
+are rescored with `blended_objective`, in canonical order, and the first
+strict minimum wins: the labels and the objective are those of scoring every
+partition with `blended_objective`.
+"""
+
+from functools import cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -54,6 +65,17 @@ def enumerate_partitions(num_vertices: int, num_groups: int) -> Iterator[np.ndar
     yield from rec(1, 1)
 
 
+@cache
+def _partition_table(num_vertices: int, num_groups: int) -> np.ndarray:
+    """Every partition of `enumerate_partitions`, one per row in its order.
+
+    The (N, num_vertices) table is read-only, since every caller shares it.
+    """
+    table = np.array(list(enumerate_partitions(num_vertices, num_groups)))
+    table.flags.writeable = False
+    return table
+
+
 def _partition_cut_weight(weights: np.ndarray, labels: np.ndarray) -> float:
     # the sum of every group's cut, read off the weights and not the Laplacian:
     # each edge between groups counts once per side
@@ -67,22 +89,53 @@ def blended_objective(graph_prev: AffinityGraph, graph_t: AffinityGraph,
             + (1.0 - alpha) * _partition_cut_weight(graph_prev.weights, labels))
 
 
+def _scoring_bound(graph_prev: AffinityGraph, graph_t: AffinityGraph,
+                   alpha: float) -> float:
+    """Bound on the gap between a row's one-pass score and `blended_objective`.
+
+    With S = |alpha| sum|w_t| + |1 - alpha| sum|w_prev| and L vertices, the
+    one-pass score lies within gamma_{2L^2+8} * S of the exact blended cut
+    and `blended_objective` within gamma_{L^2+2} * S, in any summation order
+    (gamma_n = n u / (1 - n u), u the unit roundoff); the bound takes
+    gamma_{4L^2+16} * S, which also covers the rounding of S itself.  Sums
+    of |w| and not of w, since negative weights cancel in the cut but not in
+    its rounding error.  The last term covers the absolute error of gradual
+    underflow.
+    """
+    num_vertices = graph_t.num_vertices
+    n = 4 * num_vertices * num_vertices + 16
+    nu = n * np.finfo(float).eps / 2
+    scale = (abs(alpha) * np.abs(graph_t.weights).sum()
+             + abs(1.0 - alpha) * np.abs(graph_prev.weights).sum())
+    return nu / (1.0 - nu) * float(scale) + n * 2.0 ** -1070
+
+
 def brute_force_best(graph_prev: AffinityGraph, graph_t: AffinityGraph,
                      alpha: float, num_groups: int):
     """Exact minimizer of the blended cut objective over all partitions.
 
     Returns (partition, objective).  Ties keep the first candidate in
-    canonical enumeration order.
+    canonical enumeration order.  Every row of the partition table is scored
+    in one pass; the rows within twice `_scoring_bound` of the lowest score,
+    which hold every minimizer of `blended_objective`, are rescored with it.
     """
     if graph_prev.num_vertices != graph_t.num_vertices:
         raise ValueError("graphs must cover the same base stations")
-    best_labels, best_obj = None, np.inf
-    for labels in enumerate_partitions(graph_t.num_vertices, num_groups):
-        obj = blended_objective(graph_prev, graph_t, labels, alpha)
-        if obj < best_obj:
-            best_labels, best_obj = labels, obj
-    partition = Partition.from_vertex_labels(best_labels, num_groups, graph_t.anchor)
-    return partition, float(best_obj)
+    table = _partition_table(graph_t.num_vertices, num_groups)
+    bound = _scoring_bound(graph_prev, graph_t, alpha)
+    if not np.isfinite(bound):
+        raise ValueError("alpha and the graph weights must be finite, with finite sums")
+    blend = alpha * graph_t.weights + (1.0 - alpha) * graph_prev.weights
+    within = 0.0
+    for m in range(num_groups):
+        member = (table == m).astype(float)       # (N, L) indicator of group m
+        within = within + ((member @ blend) * member).sum(axis=1)
+    score = blend.sum() - within
+    near = np.flatnonzero(score <= score.min() + 2.0 * bound)
+    exact = [blended_objective(graph_prev, graph_t, table[i], alpha) for i in near]
+    k = int(np.argmin(exact))                 # the first of equal minima
+    partition = Partition.from_vertex_labels(table[near[k]].copy(), num_groups, graph_t.anchor)
+    return partition, exact[k]
 
 
 def random_instances(seed: int, count: int) -> Iterator[tuple]:
@@ -137,7 +190,7 @@ def certify(seed: int, count: int) -> Iterator[Certificate]:
             graph_prev, graph_t, SpectralConfig(alpha=alpha, M=groups, seed=kmeans_seed))
         _, optimum = brute_force_best(graph_prev, graph_t, alpha, groups)
         worst, checked = 0.0, 0
-        for labels in enumerate_partitions(graph_t.num_vertices, groups):
+        for labels in _partition_table(graph_t.num_vertices, groups):
             z = np.eye(groups)[labels]
             for graph in (graph_prev, graph_t):
                 direct = blended_objective(graph, graph, labels, 1.0)

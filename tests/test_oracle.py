@@ -4,10 +4,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from cfnet import oracle
 from cfnet.oracle import (BudgetExceeded, blended_objective, brute_force_best,
                           enumerate_partitions, random_instances)
 
-from conftest import graph_pair
+from conftest import graph_from_weights, graph_pair
 
 
 @lru_cache(maxsize=None)
@@ -112,6 +113,79 @@ def test_brute_force_matches_independent_double_enumeration():
     assert count == 31
     _, got = brute_force_best(g_prev, g_t, alpha=alpha, num_groups=2)
     assert got == pytest.approx(best, rel=1e-12)
+
+
+def _ref_brute_force_best(graph_prev, graph_t, alpha, num_groups):
+    """brute_force_best as a loop: every partition scored by blended_objective,
+    the first strict minimum kept.  Returns (labels, objective)."""
+    best_labels, best_obj = None, np.inf
+    for labels in enumerate_partitions(graph_t.num_vertices, num_groups):
+        obj = blended_objective(graph_prev, graph_t, labels, alpha)
+        if obj < best_obj:
+            best_labels, best_obj = labels, obj
+    return best_labels, best_obj
+
+
+def _symmetric(upper):
+    w = np.triu(upper, 1)
+    return graph_from_weights(w + w.T)
+
+
+def reference_graph_pairs(num_vertices, rng):
+    """Graph pairs of one kind each: all-equal, all-zero and small-integer
+    weights, whose many ties the first canonical minimum must win; weights
+    spread over ten decades, in whole powers of ten or not; and mixed-sign
+    weights, whose cuts cancel."""
+    shape = (num_vertices, num_vertices)
+    yield _symmetric(np.full(shape, 0.7)), _symmetric(np.full(shape, 0.7))
+    yield _symmetric(np.zeros(shape)), _symmetric(np.zeros(shape))
+    # in tenths, cuts tied in exact arithmetic round apart, and the one-pass
+    # scores and blended_objective round them in different orders
+    yield _symmetric(rng.integers(0, 3, shape) * 0.1), _symmetric(rng.integers(0, 3, shape) * 0.1)
+    yield (_symmetric(10.0 ** rng.integers(-5, 5, shape)),
+           _symmetric(10.0 ** rng.uniform(-5, 5, shape)))
+    yield (_symmetric(rng.normal(size=shape) * 10.0 ** rng.uniform(-2, 2, shape)),
+           _symmetric(rng.integers(-3, 4, shape).astype(float)))
+
+
+def test_brute_force_matches_loop_reference_exactly():
+    rng = np.random.default_rng(31)
+    for num_vertices in range(2, 9):
+        for groups in range(1, min(num_vertices, 4) + 1):
+            for g_prev, g_t in reference_graph_pairs(num_vertices, rng):
+                for alpha in (0.0, 0.3, 0.5, 1.0):
+                    part, obj = brute_force_best(g_prev, g_t, alpha, groups)
+                    labels, ref_obj = _ref_brute_force_best(g_prev, g_t, alpha, groups)
+                    case = (num_vertices, groups, alpha, g_t.weights.tolist())
+                    assert np.array_equal(part.vertex_labels, labels), case
+                    assert obj == ref_obj, case
+
+
+def test_partition_table_is_read_only_and_enumeration_yields_copies():
+    table = oracle._partition_table(6, 3)
+    assert table is oracle._partition_table(6, 3)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert np.array_equal(table, np.array(list(enumerate_partitions(6, 3))))
+    g_prev, g_t = graph_pair(3, 8, 6)
+    first, obj = brute_force_best(g_prev, g_t, 0.4, 3)
+    expected = first.vertex_labels.copy()
+    first.vertex_labels[:] = 0
+    for labels in enumerate_partitions(6, 3):
+        assert labels.flags.writeable
+        labels[:] = 2
+    again, again_obj = brute_force_best(g_prev, g_t, 0.4, 3)
+    assert np.array_equal(again.vertex_labels, expected)
+    assert again_obj == obj
+    assert np.array_equal(table, np.array(list(enumerate_partitions(6, 3))))
+
+
+def test_brute_force_rejects_non_finite_weights():
+    g_prev, g_t = graph_pair(5, 8, 5)
+    g_t.weights[0, 1] = g_t.weights[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        brute_force_best(g_prev, g_t, 0.5, 2)
 
 
 def test_blended_objective_endpoints():
