@@ -292,7 +292,6 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     come from the exact squared distances wherever GEMM rounding could change
     them, so they do not depend on the BLAS build.  Deterministic given (rows,
     seed).  Rows must be finite, with squared distances that do not overflow.
-    With M = 1 every label is 0, returned before any Generator is built.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim not in (2, 3):
@@ -305,8 +304,6 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
         spread = stack.shape[1] * (span * span).sum(axis=1)   # bounds every squared distance and SSE
     if not np.isfinite(spread).all():
         raise ValueError("rows must be finite, with squared distances that do not overflow")
-    if M == 1:
-        return np.zeros(rows.shape[:-1], dtype=np.int64)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(_restart_seed(root, r)) for r in range(KMEANS_RESTARTS)]
     # Lloyd runs one entry at a time: batched over entries, its (R·B, n, d)

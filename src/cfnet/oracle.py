@@ -135,7 +135,7 @@ def brute_force_best(graph_prev: AffinityGraph, graph_t: AffinityGraph,
     exact = [blended_objective(graph_prev, graph_t, table[i], alpha) for i in near]
     k = int(np.argmin(exact))                 # the first of equal minima
     partition = Partition.from_vertex_labels(table[near[k]].copy(), num_groups, graph_t.anchor)
-    return partition, exact[k]
+    return partition, float(exact[k])
 
 
 def random_instances(seed: int, count: int) -> Iterator[tuple]:

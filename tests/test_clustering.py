@@ -141,21 +141,16 @@ def test_kmeans_rejects_non_finite_rows(bad):
         kmeans_rows(rows, 3, seed=0)
     with pytest.raises(ValueError, match="finite"):
         kmeans_rows(rows, 1, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        kmeans_rows(np.stack([np.ones((6, 2)), rows]), 1, seed=0)
 
 
-def test_kmeans_single_cluster_returns_zeros_without_restarts(monkeypatch):
-    def no_restarts(root, restart):
-        raise AssertionError("M = 1 needs no restart Generator")
-    monkeypatch.setattr(clustering, "_restart_seed", no_restarts)
+def test_kmeans_single_cluster_returns_zeros():
     rows = np.random.default_rng(2).normal(size=(3, 5, 2))
     for shaped in (rows[0], rows):
         labels = kmeans_rows(shaped, 1, seed=4)
         assert labels.dtype == np.int64
         assert np.array_equal(labels, np.zeros(shaped.shape[:-1], dtype=np.int64))
-    rows[1, 2, 0] = np.nan
-    for shaped in (rows[1], rows):
-        with pytest.raises(ValueError, match="finite"):
-            kmeans_rows(shaped, 1, seed=4)
 
 
 def test_kmeans_rejects_rows_whose_squared_distances_overflow():

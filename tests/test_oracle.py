@@ -181,6 +181,13 @@ def test_partition_table_is_read_only_and_enumeration_yields_copies():
     assert np.array_equal(table, np.array(list(enumerate_partitions(6, 3))))
 
 
+def test_brute_force_returns_a_python_float_objective():
+    g_prev, g_t = graph_pair(4, 8, 5)
+    for alpha in (0.4, np.float64(0.4)):
+        _, obj = brute_force_best(g_prev, g_t, alpha, 2)
+        assert type(obj) is float
+
+
 def test_brute_force_rejects_non_finite_weights():
     g_prev, g_t = graph_pair(5, 8, 5)
     g_t.weights[0, 1] = g_t.weights[1, 0] = np.nan
