@@ -24,6 +24,13 @@ class RadioParams:
     def validate(self) -> None:
         if self.beta <= 0 or not 0 < self.pt_over_sigma2 < np.inf:
             raise ValueError("need beta > 0 and a finite pt_over_sigma2 > 0")
+        # the largest gain term, a user at the clamp distance of a BS
+        with np.errstate(over="ignore"):
+            top = self.pt_over_sigma2 * np.float64(D_MIN) ** -self.beta
+        if not np.isfinite(top):
+            raise ValueError(f"beta = {self.beta} overflows the largest gain "
+                             f"pt_over_sigma2 * D_MIN**-beta at pt_over_sigma2 = "
+                             f"{self.pt_over_sigma2}")
 
 
 def distances(layout: "Layout") -> np.ndarray:

@@ -114,12 +114,107 @@ def smallest_eigenvectors(matrix: np.ndarray, count: int) -> np.ndarray:
     return vecs[..., :count]
 
 
-def _kmeans_pp_centers(rows: np.ndarray, M: int, rngs: list) -> np.ndarray:
+# numpy's SeedSequence hashing (pool of 4 words) and PCG64 set-seq seeding
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875     # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED     # generate_state output
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_HASH_B = [_INIT_B * _MULT_B ** i & _MASK32 for i in range(9)]
+_OUT_XOR = np.array(_HASH_B[:8], dtype=np.uint32).reshape(2, 4)
+_OUT_MUL = np.array(_HASH_B[1:], dtype=np.uint32).reshape(2, 4)
+_RESTART_WORDS = np.arange(KMEANS_RESTARTS, dtype=np.uint32)[:, None]
+# the restart Generators, reloaded by every call; module state, so one thread at a time
+_RESTART_RNGS = [np.random.Generator(np.random.PCG64(0)) for _ in range(KMEANS_RESTARTS)]
+
+
+def _uint32_words(value) -> list:
+    """An entropy or spawn-key value as SeedSequence splits it into uint32 words."""
+    if isinstance(value, np.ndarray) and value.dtype == np.uint32:
+        return value.tolist()
+    if isinstance(value, str):
+        value = int(value, 16) if value.startswith("0x") else int(value)
+    if isinstance(value, (int, np.integer)):
+        n = int(value)
+        words = [n & _MASK32]
+        while n > _MASK32:
+            n >>= 32
+            words.append(n & _MASK32)
+        return words
+    return [word for item in value for word in _uint32_words(item)]
+
+
+def _restart_states(root: np.random.SeedSequence) -> list:
+    """PCG64 states of the KMEANS_RESTARTS restart Generators of seed `root`.
+
+    Restart r's state is that of `PCG64(SeedSequence(root.entropy,
+    spawn_key=root.spawn_key + (r,)))`, computed without building either.
+    Every restart's assembled entropy starts with the same words: the root's
+    entropy padded to 4 words, then its spawn key.  Those are hashed into a
+    pool once, and the last word, r, is mixed in for all restarts at once.
+    Then `generate_state(4, uint64)`'s output hash gives the four seed words
+    (s0, s1, s2, s3), and PCG64 seeds from initstate s0 << 64 | s1 and
+    initseq s2 << 64 | s3 by inc = 2 initseq + 1, state = 0, step,
+    state += initstate, step.
+    """
+    words = _uint32_words(root.entropy)
+    words += [0] * (4 - len(words))
+    words += _uint32_words(root.spawn_key)
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value ^= h
+        h = h * _MULT_A & _MASK32
+        value = value * h & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # the last word, r, of every restart at once; uint32 arithmetic wraps
+    consts = [h]
+    for _ in range(4):
+        consts.append(consts[-1] * _MULT_A & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)
+    last = (_RESTART_WORDS ^ consts[:4]) * consts[1:]
+    last ^= last >> 16
+    mixed = np.array([_MIX_L * x & _MASK32 for x in pool], dtype=np.uint32)
+    mixed = mixed - last * np.uint32(_MIX_R)
+    mixed ^= mixed >> 16
+    # generate_state's eight uint32 words per restart, cycling over the pool
+    out = (mixed[:, None, :] ^ _OUT_XOR) * _OUT_MUL
+    out ^= out >> 16
+    states = []
+    for w in out.reshape(-1, 8).tolist():
+        # uint64 word i is w[2i] | w[2i + 1] << 32, whatever the byte order
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _MASK128 | 1
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128,
+                                 "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list) -> np.ndarray:
     """k-means++ seeding of every (entry, restart) pair; returns (B, R, M, d).
 
-    `rows` is a (B, n, d) stack and `rngs` holds one fresh Generator per
-    restart, shared by all entries.  Each pair's centres are those a seeding
-    of its entry on its own draws from a fresh Generator of that restart:
+    `rows` is a (B, n, d) stack and `states` holds one PCG64 state per
+    restart, at most KMEANS_RESTARTS of them.  Restart r draws from the
+    module's Generator r loaded with states[r], shared by all entries.  Each
+    pair's centres are those a seeding of its entry on its own draws from a
+    Generator in that state:
     `integers(n)` for the first centre, then for each further centre one draw
     weighted by the squared distance d2 to the nearest centre so far, or
     `integers(n)` when every row already coincides with a centre.  The
@@ -131,12 +226,15 @@ def _kmeans_pp_centers(rows: np.ndarray, M: int, rngs: list) -> np.ndarray:
 
     Each restart draws `integers(n)` and `random(M - 1)` once for the whole
     stack, the numbers the sequential draws give.  A pair whose total reaches
-    0 drew `integers(n)` there, so it is replayed from its Generator reset.
-    Distances to a picked row come from an exact table
+    0 drew `integers(n)` there, so it is replayed from its Generator reset to
+    states[r].  Distances to a picked row come from an exact table
     ((rows - rows[j])**2).sum(), filled once per entry and picked row.
     """
     B, n, d = rows.shape
-    R = len(rngs)
+    R = len(states)
+    rngs = _RESTART_RNGS[:R]
+    for rng, state in zip(rngs, states):
+        rng.bit_generator.state = state
     first = np.array([rng.integers(n) for rng in rngs])
     draws = np.array([rng.random(M - 1) for rng in rngs]).reshape(R, M - 1)
     flat = rows.reshape(B * n, d)
@@ -170,7 +268,7 @@ def _kmeans_pp_centers(rows: np.ndarray, M: int, rngs: list) -> np.ndarray:
             d2 = table[pick] if not m else np.minimum(d2, table[pick])
     for b, r in zip(*late.nonzero()):
         rng, start = rngs[r], M - late[b, r]
-        rng.bit_generator.state = type(rng.bit_generator)(rng.bit_generator.seed_seq).state
+        rng.bit_generator.state = states[r]
         rng.integers(n)
         rng.random(start - 1)
         for m in range(start, M):
@@ -270,20 +368,17 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
     return labels, sse
 
 
-def _restart_seed(root: np.random.SeedSequence, restart: int) -> np.random.SeedSequence:
-    # stateless spawn so repeated calls with the same config replay exactly
-    return np.random.SeedSequence(entropy=root.entropy,
-                                  spawn_key=root.spawn_key + (restart,))
-
-
 def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     """Cluster rows into M nonempty groups, best of KMEANS_RESTARTS k-means++ runs.
 
     `rows` is one (n, d) matrix, which gives (n,) labels, or a (B, n, d)
     stack, which gives (B, n) labels, each entry's equal to a call with that
-    entry alone and the same seed.  The k-means++ seeding of every (entry,
-    restart) pair runs as one batch, each restart drawing from its own
-    Generator with weighted draws that replicate `Generator.choice` (see
+    entry alone and the same seed.  Restart r of seed s draws from PCG64
+    seeded by `SeedSequence(s.entropy, spawn_key=s.spawn_key + (r,))`, an int
+    seed standing for `SeedSequence(seed)`; `_restart_states` computes those
+    states arithmetically.  The k-means++ seeding of every (entry, restart)
+    pair runs as one batch, each restart drawing from its own Generator with
+    weighted draws that replicate `Generator.choice` (see
     `_kmeans_pp_centers`).  Then, entry by entry, the Lloyd iterations of all
     restarts run as one batch (see `_lloyd`), each restart until its own
     convergence (relative SSE change at most KMEANS_TOL) or KMEANS_MAX_ITERS
@@ -292,6 +387,9 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     come from the exact squared distances wherever GEMM rounding could change
     them, so they do not depend on the BLAS build.  Deterministic given (rows,
     seed).  Rows must be finite, with squared distances that do not overflow.
+
+    The restart Generators are module state, loaded afresh by every call, so
+    two threads must not call this at once; cfnet calls it from one thread.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim not in (2, 3):
@@ -305,12 +403,11 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     if not np.isfinite(spread).all():
         raise ValueError("rows must be finite, with squared distances that do not overflow")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rngs = [np.random.default_rng(_restart_seed(root, r)) for r in range(KMEANS_RESTARTS)]
     # Lloyd runs one entry at a time: batched over entries, its (R·B, n, d)
     # temporaries grow B-fold, which at desk scale (B = 5) raised peak memory
     # by 1.4 MB (3%) for about 5% more throughput
     best = []
-    for entry, centers in zip(stack, _kmeans_pp_centers(stack, M, rngs)):
+    for entry, centers in zip(stack, _kmeans_pp_centers(stack, M, _restart_states(root))):
         labels, sse = _lloyd(entry, centers, KMEANS_MAX_ITERS, KMEANS_TOL)
         best.append(labels[int(np.argmin(sse))])
     return np.array(best).reshape(rows.shape[:-1])

@@ -62,6 +62,12 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--pt-over-sigma2-db", "1e308"]) == 1   # linear power overflows
     assert main(["run", "--pt-over-sigma2-db=-4000"]) == 1      # linear power underflows to 0
     assert main(["run", "--beta", "-1"]) == 1
+    # a user at the clamp distance of a BS would get an infinite gain
+    assert main(["run", *BASE, "--beta", "400", "--outputs", str(tmp_path / "b")]) == 1
+    assert main(["run", *BASE, "--beta", "160", "--outputs", str(tmp_path / "b")]) == 1
+    assert main(["run", *BASE, "--beta", "4", "--pt-over-sigma2-db", "3050",
+                 "--outputs", str(tmp_path / "b")]) == 1
+    assert not (tmp_path / "b").exists()
     # a repeated alpha would write its rows and snapshots twice; -0.0 is 0.0
     assert main(["run", "--alpha-grid", "0.5,0.5"]) == 1
     assert main(["run", "--alpha-grid", "0.0,-0.0"]) == 1

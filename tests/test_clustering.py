@@ -5,6 +5,7 @@ from cfnet import clustering
 from cfnet.clustering import (Partition, SpectralConfig, blended_laplacian,
                               initial_partition, kmeans_rows,
                               smallest_eigenvectors, temporal_smoothed_partition)
+from cfnet.harness import STREAM_KMEANS, derive_stream, trial_seed
 from cfnet.oracle import blended_objective, brute_force_best
 
 from conftest import graph_from_weights, graph_pair, trend_holds
@@ -221,7 +222,9 @@ def _ref_kmeans_rows(rows, M, restarts=10, max_iters=100, tol=1e-9, seed=0):
 
 
 def kmeans_fuzz_inputs():
-    """(rows, M, seed) covering the shapes and degeneracies k-means meets.
+    """(rows, M, seed) covering the shapes and degeneracies k-means meets,
+    with int seeds and, for one input in five of the first 120, the
+    SeedSequence seeds the harness passes.
 
     Rows have at least two columns, or one column with M = 1: numpy's mean
     of a single column sums pairwise, not in row order, and the pipeline's
@@ -236,7 +239,11 @@ def kmeans_fuzz_inputs():
             rows[: n // 2] = rows[0]      # duplicate rows
         elif i % 4 == 2:
             rows = np.round(rows)         # many ties between distances
-        yield rows, m, int(rng.integers(1 << 31))
+        seed = int(rng.integers(1 << 31))
+        if i % 5 == 4:
+            # the harness's k-means seed: a nonempty spawn key, entropy up to 2^62
+            seed = derive_stream(trial_seed(seed << (i % 32), i), STREAM_KMEANS)
+        yield rows, m, seed
     # hard inputs for the GEMM distances ||x||^2 - 2 x.c + ||c||^2: rows
     # offset by 1e8 (severe cancellation), rows near 1e155 (||x||^2
     # overflows, their squared distances do not) and lattice rows (exact
@@ -278,9 +285,9 @@ def lloyd_runs(restarts=3):
     the reference's (labels, sse) from that restart alone.  The seeding runs
     on a stack of one entry."""
     root = np.random.SeedSequence(5)
+    states = [_ref_restart_rng(root, r).bit_generator.state for r in range(restarts)]
     for rows, m, _ in kmeans_fuzz_inputs():
-        rngs = [_ref_restart_rng(root, r) for r in range(restarts)]
-        centers = clustering._kmeans_pp_centers(rows[None], m, rngs)[0]
+        centers = clustering._kmeans_pp_centers(rows[None], m, states)[0]
         labels, sse = clustering._lloyd(rows, centers, 100, 1e-9)
         for r in range(restarts):
             yield (rows, centers[r], (labels[r], sse[r]),
@@ -315,13 +322,44 @@ def test_batched_seeding_replays_generator_choice():
     # With a stack of one entry, restarts that reach a zero total (the
     # all-identical-rows inputs) are replayed from their reset Generator.
     root = np.random.SeedSequence(99)
+    states = [_ref_restart_rng(root, r).bit_generator.state for r in range(4)]
     for rows, m, _ in kmeans_fuzz_inputs():
-        rngs = [_ref_restart_rng(root, r) for r in range(4)]
-        centers = clustering._kmeans_pp_centers(rows[None], m, rngs)
-        for r, rng in enumerate(rngs):
+        centers = clustering._kmeans_pp_centers(rows[None], m, states)
+        for r, rng in enumerate(clustering._RESTART_RNGS[:4]):
             ref_rng = _ref_restart_rng(root, r)
             assert np.array_equal(centers[0, r], _ref_kmeans_pp_centers(rows, m, ref_rng))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# roots covering how SeedSequence turns entropy and spawn keys into words
+RESTART_ROOTS = [
+    np.random.SeedSequence(0),
+    np.random.SeedSequence(12345),
+    np.random.SeedSequence(2**32 - 1),
+    np.random.SeedSequence(2**32),
+    np.random.SeedSequence(2**40 + 3, spawn_key=(7,)),
+    np.random.SeedSequence(2**127 + 12345),
+    np.random.SeedSequence(2**128 - 1, spawn_key=(0, 0)),
+    np.random.SeedSequence(np.uint64(2**63 + 7)),
+    np.random.SeedSequence([1, 2, 3]),
+    np.random.SeedSequence([2**33, "0x10", "17"], spawn_key=(2,)),
+    np.random.SeedSequence(np.array([7, 8, 9, 10, 11], dtype=np.uint32)),
+    np.random.SeedSequence(3, spawn_key=tuple(range(4, 24))),
+    np.random.SeedSequence(3, spawn_key=(2**32, 2**40 + 1)),
+    np.random.SeedSequence(99, pool_size=8),
+    np.random.SeedSequence(99, spawn_key=(1, 3, 0), pool_size=8),
+    derive_stream(trial_seed(2**40 + 9, 4), STREAM_KMEANS),
+]
+
+
+def test_restart_states_equal_numpy_seeding():
+    # restart r's Generator is the frozen PCG64(SeedSequence(entropy,
+    # spawn_key + (r,))); a numpy release that changes SeedSequence or PCG64
+    # seeding fails here
+    for root in RESTART_ROOTS:
+        expected = [_ref_restart_rng(root, r).bit_generator.state
+                    for r in range(clustering.KMEANS_RESTARTS)]
+        assert clustering._restart_states(root) == expected, root
 
 
 def stacked_kmeans_inputs():
