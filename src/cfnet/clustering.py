@@ -20,6 +20,10 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+# numpy-private, but the very function SeedSequence splits entropy and spawn
+# keys into uint32 words with; test_restart_states_equal_numpy_seeding fails
+# if a numpy release changes it
+from numpy.random.bit_generator import _coerce_to_uint32_array
 
 from .graph import AffinityGraph
 
@@ -114,7 +118,10 @@ def smallest_eigenvectors(matrix: np.ndarray, count: int) -> np.ndarray:
     return vecs[..., :count]
 
 
-# numpy's SeedSequence hashing (pool of 4 words) and PCG64 set-seq seeding
+# numpy's SeedSequence hashing (pool of 4 words) and PCG64 set-seq seeding.
+# numpy hashes the entropy prefix all restarts share into its pool; cfnet
+# mixes in each restart's last word r with the hash constants that follow a
+# prefix of `prefix` words, _INIT_A * _MULT_A**(4 prefix + i) for i = 0..4
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875     # entropy mixing
@@ -129,68 +136,31 @@ _RESTART_WORDS = np.arange(KMEANS_RESTARTS, dtype=np.uint32)[:, None]
 _RESTART_RNGS = [np.random.Generator(np.random.PCG64(0)) for _ in range(KMEANS_RESTARTS)]
 
 
-def _uint32_words(value) -> list:
-    """An entropy or spawn-key value as SeedSequence splits it into uint32 words."""
-    if isinstance(value, np.ndarray) and value.dtype == np.uint32:
-        return value.tolist()
-    if isinstance(value, str):
-        value = int(value, 16) if value.startswith("0x") else int(value)
-    if isinstance(value, (int, np.integer)):
-        n = int(value)
-        words = [n & _MASK32]
-        while n > _MASK32:
-            n >>= 32
-            words.append(n & _MASK32)
-        return words
-    return [word for item in value for word in _uint32_words(item)]
-
-
 def _restart_states(root: np.random.SeedSequence) -> list:
     """PCG64 states of the KMEANS_RESTARTS restart Generators of seed `root`.
 
     Restart r's state is that of `PCG64(SeedSequence(root.entropy,
     spawn_key=root.spawn_key + (r,)))`, computed without building either.
-    Every restart's assembled entropy starts with the same words: the root's
-    entropy padded to 4 words, then its spawn key.  Those are hashed into a
-    pool once, and the last word, r, is mixed in for all restarts at once.
-    Then `generate_state(4, uint64)`'s output hash gives the four seed words
-    (s0, s1, s2, s3), and PCG64 seeds from initstate s0 << 64 | s1 and
-    initseq s2 << 64 | s3 by inc = 2 initseq + 1, state = 0, step,
-    state += initstate, step.
+    Every restart's assembled entropy starts with the same `prefix` words:
+    the root's entropy padded to 4 words, then its spawn key.  numpy hashes
+    that prefix into the pool of `SeedSequence(root.entropy,
+    spawn_key=root.spawn_key)`, and the last word, r, is mixed in here for
+    all restarts at once.  Then `generate_state(4, uint64)`'s output hash
+    gives the four seed words (s0, s1, s2, s3), and PCG64 seeds from
+    initstate s0 << 64 | s1 and initseq s2 << 64 | s3 by inc = 2 initseq + 1,
+    state = 0, step, state += initstate, step.
     """
-    words = _uint32_words(root.entropy)
-    words += [0] * (4 - len(words))
-    words += _uint32_words(root.spawn_key)
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        x = (_MIX_L * x - _MIX_R * y) & _MASK32
-        return x ^ x >> 16
-
-    pool = [hashmix(word) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
+    # pool size 4 whatever root.pool_size is; an empty spawn key skips the
+    # padding, which leaves the pool unchanged
+    pool = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key).pool
+    prefix = max(4, len(_coerce_to_uint32_array(root.entropy)))
+    prefix += len(_coerce_to_uint32_array(root.spawn_key))
     # the last word, r, of every restart at once; uint32 arithmetic wraps
-    consts = [h]
-    for _ in range(4):
-        consts.append(consts[-1] * _MULT_A & _MASK32)
-    consts = np.array(consts, dtype=np.uint32)
+    consts = np.array([_INIT_A * pow(_MULT_A, 4 * prefix + i, 1 << 32) & _MASK32
+                       for i in range(5)], dtype=np.uint32)
     last = (_RESTART_WORDS ^ consts[:4]) * consts[1:]
     last ^= last >> 16
-    mixed = np.array([_MIX_L * x & _MASK32 for x in pool], dtype=np.uint32)
-    mixed = mixed - last * np.uint32(_MIX_R)
+    mixed = pool * np.uint32(_MIX_L) - last * np.uint32(_MIX_R)
     mixed ^= mixed >> 16
     # generate_state's eight uint32 words per restart, cycling over the pool
     out = (mixed[:, None, :] ^ _OUT_XOR) * _OUT_MUL
@@ -375,8 +345,9 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     stack, which gives (B, n) labels, each entry's equal to a call with that
     entry alone and the same seed.  Restart r of seed s draws from PCG64
     seeded by `SeedSequence(s.entropy, spawn_key=s.spawn_key + (r,))`, an int
-    seed standing for `SeedSequence(seed)`; `_restart_states` computes those
-    states arithmetically.  The k-means++ seeding of every (entry, restart)
+    seed standing for `SeedSequence(seed)`; `_restart_states` derives those
+    states from numpy's pool of the prefix all restarts share, mixing in each
+    restart's last word r.  The k-means++ seeding of every (entry, restart)
     pair runs as one batch, each restart drawing from its own Generator with
     weighted draws that replicate `Generator.choice` (see
     `_kmeans_pp_centers`).  Then, entry by entry, the Lloyd iterations of all

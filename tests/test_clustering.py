@@ -331,6 +331,13 @@ def test_batched_seeding_replays_generator_choice():
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def _spawned_root():
+    """A root that has spawned children; the restart rule ignores that count."""
+    root = np.random.SeedSequence(11, spawn_key=(4,))
+    root.spawn(3)
+    return root
+
+
 # roots covering how SeedSequence turns entropy and spawn keys into words
 RESTART_ROOTS = [
     np.random.SeedSequence(0),
@@ -349,6 +356,10 @@ RESTART_ROOTS = [
     np.random.SeedSequence(99, pool_size=8),
     np.random.SeedSequence(99, spawn_key=(1, 3, 0), pool_size=8),
     derive_stream(trial_seed(2**40 + 9, 4), STREAM_KMEANS),
+    np.random.SeedSequence(2**200 + 1, spawn_key=(3, 2**35)),
+    np.random.SeedSequence([1, 2, 3, 4, 5, 6], spawn_key=(9,)),
+    np.random.SeedSequence(5, spawn_key=(np.uint64(5),)),
+    _spawned_root(),
 ]
 
 
