@@ -1,13 +1,13 @@
 """Exhaustive small-instance references for certifying the spectral pipeline.
 
-`brute_force_best` scores every partition of a (vertex count, group count)
-at once: the canonical partition table is built once per pair and cached,
-and one numpy pass gives each row's blended cut as the blended weights'
-total minus their within-group part.  That pass sums in another order than
-`blended_objective`, so only the rows within a rounding bound of its minimum
-are rescored with `blended_objective`, in canonical order, and the first
-strict minimum wins: the labels and the objective are those of scoring every
-partition with `blended_objective`.
+The blended cut of a labelling is the cut of the blended weights
+alpha w_t + (1 - alpha) w_prev, as in `clustering`: the blend times the
+labelling's separated-pairs mask, summed over each (L, L) block.
+`blended_objective` scores one labelling that way and `brute_force_best` a
+stack of them, the cached table of every partition of a (vertex count, group
+count), in one reduction.  numpy sums each block of a stacked reduction as it
+sums that block alone, so every row's score is `blended_objective` of that row
+to the bit, and the first minimum of the stack is the first minimum of a loop.
 """
 
 from functools import cache
@@ -35,107 +35,79 @@ class BudgetExceeded(ValueError):
     """The requested enumeration is too large to brute-force."""
 
 
-def enumerate_partitions(num_vertices: int, num_groups: int) -> Iterator[np.ndarray]:
-    """Yield every split of the vertices into exactly `num_groups` groups.
+@cache
+def _partition_table(num_vertices: int, num_groups: int) -> np.ndarray:
+    """Every split of the vertices into exactly `num_groups` groups, one per row.
 
     Each split appears once, in canonical form: labels are numbered in order
-    of first appearance (vertex 0 always gets label 0).
+    of first appearance (vertex 0 always gets label 0), and rows run in
+    lexicographic order.  The (N, num_vertices) table is read-only, since
+    every caller shares it.
     """
     if not 1 <= num_groups <= num_vertices:
         raise ValueError("group count must lie in [1, number of vertices]")
     if num_vertices > MAX_VERTICES:
         raise BudgetExceeded(
             f"{num_vertices} vertices exceed the budget of {MAX_VERTICES}")
-
-    labels = np.zeros(num_vertices, dtype=np.int64)
-
-    def rec(i: int, used: int):
-        if i == num_vertices:
-            if used == num_groups:
-                yield labels.copy()
-            return
-        remaining = num_vertices - i
-        for lab in range(min(used + 1, num_groups)):
-            used_next = used + 1 if lab == used else used
-            if used_next + remaining - 1 < num_groups:
-                continue  # cannot reach the required group count anymore
-            labels[i] = lab
-            yield from rec(i + 1, used_next)
-
-    yield from rec(1, 1)
-
-
-@cache
-def _partition_table(num_vertices: int, num_groups: int) -> np.ndarray:
-    """Every partition of `enumerate_partitions`, one per row in its order.
-
-    The (N, num_vertices) table is read-only, since every caller shares it.
-    """
-    table = np.array(list(enumerate_partitions(num_vertices, num_groups)))
+    table = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(1, num_vertices):
+        # the next vertex joins a used group or opens the next one; nonzero
+        # walks (row, label) pairs in row-major order, which keeps the order
+        parent, label = np.nonzero(
+            np.arange(num_groups) <= table.max(axis=1, keepdims=True) + 1)
+        table = np.column_stack([table[parent], label])
+    table = table[table.max(axis=1) == num_groups - 1]
     table.flags.writeable = False
     return table
 
 
-def _partition_cut_weight(weights: np.ndarray, labels: np.ndarray) -> float:
-    # the sum of every group's cut, read off the weights and not the Laplacian:
+@cache
+def _separated_pairs(num_vertices: int, num_groups: int) -> np.ndarray:
+    """The (N, L, L) separated-pairs mask of every row of the partition table."""
+    mask = _separated(_partition_table(num_vertices, num_groups))
+    mask.flags.writeable = False
+    return mask
+
+
+def _separated(labels: np.ndarray) -> np.ndarray:
+    return labels[..., :, None] != labels[..., None, :]
+
+
+def enumerate_partitions(num_vertices: int, num_groups: int) -> Iterator[np.ndarray]:
+    """Yield a copy of each row of the partition table, in its order."""
+    yield from _partition_table(num_vertices, num_groups).copy()
+
+
+def _blended_cuts(graph_prev: AffinityGraph, graph_t: AffinityGraph,
+                  separated: np.ndarray, alpha: float) -> np.ndarray:
     # each edge between groups counts once per side
-    return float(weights[labels[:, None] != labels[None, :]].sum())
+    blend = alpha * graph_t.weights + (1.0 - alpha) * graph_prev.weights
+    return (blend * separated).sum(axis=(-2, -1))
 
 
 def blended_objective(graph_prev: AffinityGraph, graph_t: AffinityGraph,
                       labels: np.ndarray, alpha: float) -> float:
-    """alpha-weighted sum of the partition's cut on the two graphs."""
-    return (alpha * _partition_cut_weight(graph_t.weights, labels)
-            + (1.0 - alpha) * _partition_cut_weight(graph_prev.weights, labels))
-
-
-def _scoring_bound(graph_prev: AffinityGraph, graph_t: AffinityGraph,
-                   alpha: float) -> float:
-    """Bound on the gap between a row's one-pass score and `blended_objective`.
-
-    With S = |alpha| sum|w_t| + |1 - alpha| sum|w_prev| and L vertices, the
-    one-pass score lies within gamma_{2L^2+8} * S of the exact blended cut
-    and `blended_objective` within gamma_{L^2+2} * S, in any summation order
-    (gamma_n = n u / (1 - n u), u the unit roundoff); the bound takes
-    gamma_{4L^2+16} * S, which also covers the rounding of S itself.  Sums
-    of |w| and not of w, since negative weights cancel in the cut but not in
-    its rounding error.  The last term covers the absolute error of gradual
-    underflow.
-    """
-    num_vertices = graph_t.num_vertices
-    n = 4 * num_vertices * num_vertices + 16
-    nu = n * np.finfo(float).eps / 2
-    scale = (abs(alpha) * np.abs(graph_t.weights).sum()
-             + abs(1.0 - alpha) * np.abs(graph_prev.weights).sum())
-    return nu / (1.0 - nu) * float(scale) + n * 2.0 ** -1070
+    """The partition's cut of the blended weights alpha w_t + (1 - alpha) w_prev."""
+    return float(_blended_cuts(graph_prev, graph_t, _separated(labels), alpha))
 
 
 def brute_force_best(graph_prev: AffinityGraph, graph_t: AffinityGraph,
                      alpha: float, num_groups: int):
     """Exact minimizer of the blended cut objective over all partitions.
 
-    Returns (partition, objective).  Ties keep the first candidate in
-    canonical enumeration order.  Every row of the partition table is scored
-    in one pass; the rows within twice `_scoring_bound` of the lowest score,
-    which hold every minimizer of `blended_objective`, are rescored with it.
+    Returns (partition, objective), the objective that of `blended_objective`.
+    Ties keep the first candidate in canonical enumeration order.
     """
     if graph_prev.num_vertices != graph_t.num_vertices:
         raise ValueError("graphs must cover the same base stations")
-    table = _partition_table(graph_t.num_vertices, num_groups)
-    bound = _scoring_bound(graph_prev, graph_t, alpha)
-    if not np.isfinite(bound):
-        raise ValueError("alpha and the graph weights must be finite, with finite sums")
-    blend = alpha * graph_t.weights + (1.0 - alpha) * graph_prev.weights
-    within = 0.0
-    for m in range(num_groups):
-        member = (table == m).astype(float)       # (N, L) indicator of group m
-        within = within + ((member @ blend) * member).sum(axis=1)
-    score = blend.sum() - within
-    near = np.flatnonzero(score <= score.min() + 2.0 * bound)
-    exact = [blended_objective(graph_prev, graph_t, table[i], alpha) for i in near]
-    k = int(np.argmin(exact))                 # the first of equal minima
-    partition = Partition.from_vertex_labels(table[near[k]].copy(), num_groups, graph_t.anchor)
-    return partition, float(exact[k])
+    num_vertices = graph_t.num_vertices
+    score = _blended_cuts(graph_prev, graph_t,
+                          _separated_pairs(num_vertices, num_groups), alpha)
+    if not np.isfinite(score).all():
+        raise ValueError("alpha and the graph weights must be finite, with finite cuts")
+    k = int(np.argmin(score))                 # the first of equal minima
+    labels = _partition_table(num_vertices, num_groups)[k].copy()
+    return Partition.from_vertex_labels(labels, num_groups, graph_t.anchor), float(score[k])
 
 
 def random_instances(seed: int, count: int) -> Iterator[tuple]:
@@ -170,7 +142,8 @@ class Certificate(NamedTuple):
     `objective` is the blended cut of the pipeline's partition and `optimum`
     that of `brute_force_best`.  `trace_error` is the worst relative gap
     |cut - trace(Z^T L Z)| / max(1, |trace|) over the `partitions` (partition,
-    graph) pairs checked: every enumerated partition on both graphs.
+    graph) pairs checked: every enumerated partition on both graphs, its cut
+    summed over the graph's weights and its trace over the graph's Laplacian.
     """
     objective: float
     optimum: float
@@ -189,14 +162,13 @@ def certify(seed: int, count: int) -> Iterator[Certificate]:
         spectral = temporal_smoothed_partition(
             graph_prev, graph_t, SpectralConfig(alpha=alpha, M=groups, seed=kmeans_seed))
         _, optimum = brute_force_best(graph_prev, graph_t, alpha, groups)
-        worst, checked = 0.0, 0
-        for labels in _partition_table(graph_t.num_vertices, groups):
-            z = np.eye(groups)[labels]
-            for graph in (graph_prev, graph_t):
-                direct = blended_objective(graph, graph, labels, 1.0)
-                trace = float(np.trace(z.T @ graph.laplacian @ z))
-                worst = max(worst, abs(direct - trace) / max(1.0, abs(trace)))
-                checked += 1
+        separated = _separated_pairs(graph_t.num_vertices, groups)
+        worst = 0.0
+        for graph in (graph_prev, graph_t):
+            cut = _blended_cuts(graph, graph, separated, 1.0)
+            # trace(Z^T L Z) sums the Laplacian over the pairs that share a group
+            trace = (graph.laplacian * ~separated).sum(axis=(1, 2))
+            worst = max(worst, float((abs(cut - trace) / np.maximum(1.0, abs(trace))).max()))
         yield Certificate(
             blended_objective(graph_prev, graph_t, spectral.vertex_labels, alpha),
-            optimum, worst, checked)
+            optimum, worst, 2 * len(separated))

@@ -1,9 +1,14 @@
 import hashlib
+import importlib.util
+import itertools
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfnet
+import cfnet.cli  # noqa: F401  (the tracer wraps cli.main)
 from cfnet import oracle
 from cfnet.oracle import (BudgetExceeded, blended_objective, brute_force_best,
                           enumerate_partitions, random_instances)
@@ -39,19 +44,20 @@ def test_enumeration_counts_match_stirling():
 
 
 def test_enumeration_yields_canonical_unique_partitions():
-    seen = set()
-    for labels in enumerate_partitions(6, 3):
-        assert labels[0] == 0
-        # labels appear in first-use order
-        first_use = []
-        for v in labels:
-            if v not in first_use:
-                first_use.append(v)
-        assert first_use == sorted(first_use)
-        assert len(set(labels.tolist())) == 3
-        key = tuple(labels.tolist())
-        assert key not in seen
-        seen.add(key)
+    # the order decides ties, so it is checked against an independent
+    # enumeration: itertools.product's labellings, in its lexicographic order,
+    # kept when they are restricted-growth strings (each label at most one
+    # above those before it) that use all the groups.  Vertex i of such a
+    # string has a label of at most i, so the product stops there.
+    for L in range(1, 9):
+        for M in range(1, L + 1):
+            candidates = itertools.product(*(range(min(i + 1, M)) for i in range(L)))
+            expected = [labels for labels in candidates
+                        if len(set(labels)) == M
+                        and all(v <= max(labels[:i], default=-1) + 1
+                                for i, v in enumerate(labels))]
+            got = np.array(list(enumerate_partitions(L, M)))
+            assert np.array_equal(got, np.array(expected)), (L, M)
 
 
 def test_budget_rejects_oversized_requests():
@@ -139,8 +145,8 @@ def reference_graph_pairs(num_vertices, rng):
     shape = (num_vertices, num_vertices)
     yield _symmetric(np.full(shape, 0.7)), _symmetric(np.full(shape, 0.7))
     yield _symmetric(np.zeros(shape)), _symmetric(np.zeros(shape))
-    # in tenths, cuts tied in exact arithmetic round apart, and the one-pass
-    # scores and blended_objective round them in different orders
+    # in tenths, cuts tied in exact arithmetic round apart, so the minimum
+    # found depends on the order in which each cut is summed
     yield _symmetric(rng.integers(0, 3, shape) * 0.1), _symmetric(rng.integers(0, 3, shape) * 0.1)
     yield (_symmetric(10.0 ** rng.integers(-5, 5, shape)),
            _symmetric(10.0 ** rng.uniform(-5, 5, shape)))
@@ -189,10 +195,43 @@ def test_brute_force_returns_a_python_float_objective():
 
 
 def test_brute_force_rejects_non_finite_weights():
-    g_prev, g_t = graph_pair(5, 8, 5)
-    g_t.weights[0, 1] = g_t.weights[1, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        brute_force_best(g_prev, g_t, 0.5, 2)
+    for value, alpha in ((np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan)):
+        g_prev, g_t = graph_pair(5, 8, 5)
+        g_t.weights[0, 1] = g_t.weights[1, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_best(g_prev, g_t, alpha, 2)
+
+
+def test_stacked_scores_equal_blended_objective_bit_for_bit():
+    """brute_force_best's scores and objective rest on a numpy property: each
+    (L, L) block of a stacked sum(axis=(-2, -1)) gets the bits of that block
+    summed alone.  Holds on numpy 2.4.6."""
+    for g_prev, g_t, alpha, groups, _ in random_instances(2025, 100):
+        L = g_t.num_vertices
+        stacked = oracle._blended_cuts(g_prev, g_t, oracle._separated_pairs(L, groups), alpha)
+        alone = [blended_objective(g_prev, g_t, labels, alpha)
+                 for labels in enumerate_partitions(L, groups)]
+        assert stacked.tolist() == alone, (L, groups, alpha)
+
+
+def test_perfbench_tracer_spans_certify():
+    """The benchmark's traced mode wraps cfnet's functions and reads
+    SpectralConfig's k-means budget; certify must still run under it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install(cfnet)
+    try:
+        certificates = list(oracle.certify(2025, 2))
+    finally:
+        tracer.remove()
+    assert len(certificates) == 2
+    stats = tracer.busy_and_self()
+    assert stats["clustering.partition"][0] == 2
+    assert stats["oracle.brute_force_best"][0] == 2
+    assert oracle.brute_force_best is brute_force_best
 
 
 def test_blended_objective_endpoints():
