@@ -4,8 +4,6 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from . import harness, oracle
 from .harness import ConfigError, ExperimentConfig
 
@@ -44,7 +42,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     config = _resolve_config(args)
     result = harness.run_monte_carlo(config)
-    written = harness.emit_outputs(result, config)
+    written = harness.emit_outputs(result)
     for path in written:
         print(path)
     return _EXIT_OK
@@ -54,18 +52,12 @@ def _cmd_trial(args) -> int:
     config = _resolve_config(args)
     if args.trial_index < 0:
         raise ConfigError("--trial-index must be at least 0")
-    snapshot_alpha = config.alpha_grid[0]
-    if args.snapshot_alpha is not None:
-        try:
-            snapshot_alpha = float(args.snapshot_alpha)
-        except ValueError:
-            raise ConfigError(
-                f"--snapshot-alpha is not a number: {args.snapshot_alpha!r}") from None
+    snapshot_alpha = config.alpha_grid[0] if args.snapshot_alpha is None else args.snapshot_alpha
     seed = harness.trial_seed(config.master_seed, args.trial_index)
     trial = harness.run_trial(config, seed, snapshot_alpha=snapshot_alpha)
-    single = dataclasses.replace(config, realizations=1)
-    result = harness.ExperimentResult(config=single, trials=[trial])
-    for path in harness.emit_outputs(result, single, trial_index=args.trial_index):
+    result = harness.ExperimentResult(config=dataclasses.replace(config, realizations=1),
+                                      trials=[trial])
+    for path in harness.emit_outputs(result, trial_index=args.trial_index):
         print(path)
     return _EXIT_OK
 
@@ -100,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trial = sub.add_parser("trial", help="single seeded trial with snapshot dumps")
     _add_config_flags(p_trial)
     p_trial.add_argument("--trial-index", type=int, default=0)
-    p_trial.add_argument("--snapshot-alpha", default=None,
+    p_trial.add_argument("--snapshot-alpha", type=float, default=None,
                          help="alpha branch to snapshot (default: first of the grid)")
     p_trial.set_defaults(func=_cmd_trial)
 
@@ -121,7 +113,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except (np.linalg.LinAlgError, ArithmeticError, RuntimeError, ValueError) as exc:
+    except (ArithmeticError, RuntimeError, ValueError) as exc:   # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except OSError as exc:

@@ -70,32 +70,28 @@ class Partition:
             raise ValueError("every subnetwork needs at least one base station")
         return cls(vertex_labels=labels, M=M, user_assignment=labels[anchor])
 
-    @property
-    def num_vertices(self) -> int:
-        return self.vertex_labels.shape[0]
-
     def connection_matrix(self) -> np.ndarray:
         """(K, L) boolean matrix: user k is served by every BS sharing its label."""
         return self.vertex_labels[None, :] == self.user_assignment[:, None]
 
 
-def blended_laplacian(lap_t: np.ndarray, lap_prev: np.ndarray, alpha: float) -> np.ndarray:
+def blended_laplacian(lap_t: np.ndarray, lap_prev: np.ndarray, alpha) -> np.ndarray:
     """Convex combination alpha * lap_t + (1 - alpha) * lap_prev.
 
-    The endpoints and the equal-input case return an exact copy of the
-    corresponding operand, so downstream eigendecompositions see bitwise
-    identical matrices in those cases.
+    `alpha` is one weight or a vector of them, and a vector gives one blend
+    per entry, stacked.  At alpha 1 and 0 the formula returns the operand bit
+    for bit: 1 x + 0 y and 0 x + 1 y are exact when both operands are finite
+    and the returned one holds no -0.0, which `build_graph` never writes.
+    Equal inputs return a copy of the operand at every alpha.
     """
     if lap_t.shape != lap_prev.shape:
         raise ValueError("laplacians must share the same vertex set")
-    if not 0.0 <= alpha <= 1.0:
+    alpha = np.asarray(alpha, dtype=float)
+    if not ((0.0 <= alpha) & (alpha <= 1.0)).all():
         raise ValueError("alpha must lie in [0, 1]")
-    if alpha == 1.0:
-        return lap_t.copy()
-    if alpha == 0.0:
-        return lap_prev.copy()
-    if lap_t is lap_prev or np.array_equal(lap_t, lap_prev):
-        return lap_t.copy()
+    if np.array_equal(lap_t, lap_prev):
+        return np.broadcast_to(lap_t, alpha.shape + lap_t.shape).copy()
+    alpha = alpha[..., None, None]
     return alpha * lap_t + (1.0 - alpha) * lap_prev
 
 
@@ -104,14 +100,17 @@ def smallest_eigenvectors(matrix: np.ndarray, count: int) -> np.ndarray:
 
     Takes one (n, n) matrix or a (B, n, n) stack, decomposed by one `eigh`
     call whose eigenvectors equal those of each matrix on its own.  Rejects a
-    matrix whose asymmetry exceeds 1e-9 relative to its largest entry.
+    matrix with a non-finite entry, which `eigh` would not read above the
+    diagonal, or whose asymmetry exceeds 1e-9 relative to its largest entry.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")
     if not 1 <= count <= a.shape[-1]:
         raise ValueError("eigenvector count out of range")
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))   # NaN and inf carry up
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix entries must be finite")
     if (np.abs(a - a.swapaxes(-2, -1)).max(axis=(-2, -1)) > 1e-9 * scale).any():
         raise ValueError("matrix is not symmetric within tolerance")
     _, vecs = np.linalg.eigh(a)
@@ -427,8 +426,7 @@ def temporal_smoothed_partitions(graph_prev: AffinityGraph, graph_t: AffinityGra
     cfg.validate()
     if not alphas:
         return []
-    blends = np.array([blended_laplacian(graph_t.laplacian, graph_prev.laplacian, alpha)
-                       for alpha in alphas])
+    blends = blended_laplacian(graph_t.laplacian, graph_prev.laplacian, alphas)
     labels = kmeans_rows(smallest_eigenvectors(blends, cfg.M), cfg.M, seed=cfg.seed)
     return [Partition.from_vertex_labels(_descend_cut(blend, raw, cfg.M), cfg.M, graph_t.anchor)
             for blend, raw in zip(blends, labels)]

@@ -10,13 +10,14 @@ fading randomness (common random numbers).
 
 The k-means stream is the same at every step, so the alpha = 0 branch at step
 t clusters exactly what alpha = 1 (or the bootstrap, at step 1) clustered at
-step t - 1: the previous graph's Laplacian, which the blend returns as an
-exact copy at both endpoints, with the same seed.  `run_trial` reuses those
-vertex labels instead of clustering again, and maps them to users through the
-current anchors; the outputs are the same bytes as without the reuse.  That
-covers step 1 on any grid and later steps on a grid holding 1.0; every other
-branch of a step is clustered in one batch by `temporal_smoothed_partitions`,
-which gives each branch the partition it would get alone.  An alpha_grid that
+step t - 1: the previous graph's Laplacian, which the blend formula returns
+bit for bit at both endpoints (both operands are finite, and `build_graph`
+writes no -0.0), with the same seed.  `run_trial` reuses those vertex labels
+instead of clustering again, and maps them to users through the current
+anchors; the outputs are the same bytes as without the reuse.  That covers
+step 1 on any grid and later steps on a grid holding 1.0; every other branch
+of a step is clustered in one batch by `temporal_smoothed_partitions`, which
+gives each branch the partition it would get alone.  An alpha_grid that
 repeats a value (0.0 and -0.0 count as equal) is a config error.
 
 Results: a trial keeps its KPIs in one float array `kpis` of shape
@@ -193,7 +194,6 @@ def derive_stream(base: np.random.SeedSequence, stream: int,
 
 @dataclass
 class TrialResult:
-    alpha_grid: tuple
     kpis: np.ndarray                   # (time_steps, n_alpha, 4), columns KPI_NAMES
     snapshots: Optional[list] = None   # (step, Layout, vertex labels, user assignment)
 
@@ -270,7 +270,7 @@ def run_trial(config: ExperimentConfig, seed,
         zf = zfbf_evaluation(channels, *zip(*scored), radio).sum_rate
         kpis[0, :, _ZF] = zf[0]
         kpis[1:, :, _ZF] = zf[1:].reshape(config.time_steps - 1, len(alphas))
-    return TrialResult(alpha_grid=alphas, kpis=kpis, snapshots=snapshots)
+    return TrialResult(kpis=kpis, snapshots=snapshots)
 
 
 def trial_kpi_means(result: TrialResult) -> np.ndarray:
@@ -340,8 +340,7 @@ def summary_rows(result: ExperimentResult) -> list:
     return rows
 
 
-def emit_outputs(result: ExperimentResult, config: ExperimentConfig,
-                 trial_index: Optional[int] = None) -> list:
+def emit_outputs(result: ExperimentResult, trial_index: Optional[int] = None) -> list:
     """Write metrics.csv, summary.csv, snapshots and config.echo; return paths.
 
     Any other snapshot_<t>.csv already in the directory is removed, so the
@@ -350,7 +349,7 @@ def emit_outputs(result: ExperimentResult, config: ExperimentConfig,
     `trial_index` marks the one-trial result of `cfnet trial`: the rows carry
     it, and config.echo opens with the command that reproduces the outputs.
     """
-    outdir = config.outputs
+    outdir = result.config.outputs
     try:
         os.makedirs(outdir, exist_ok=True)
         written = [_write_metrics(result, os.path.join(outdir, "metrics.csv"),
@@ -364,7 +363,7 @@ def emit_outputs(result: ExperimentResult, config: ExperimentConfig,
             if trial_index is not None:
                 fh.write(f"# reproduce with: cfnet trial --config config.echo "
                          f"--trial-index {trial_index}\n")
-            fh.write(config_to_text(config))
+            fh.write(config_to_text(result.config))
         written.append(echo_path)
     except OSError as exc:
         raise OSError(f"cannot write outputs under {outdir}: {exc}") from exc
@@ -376,7 +375,7 @@ def _write_metrics(result: ExperimentResult, path: str, first_trial: int) -> str
         fh.write(",".join(("trial", "step", "alpha") + KPI_NAMES) + "\n")
         for i, trial in enumerate(result.trials):
             for t, step in enumerate(trial.kpis):
-                for alpha, values in zip(trial.alpha_grid, step):
+                for alpha, values in zip(result.config.alpha_grid, step):
                     fh.write(",".join([str(first_trial + i), str(t), _fmt(alpha)]
                                       + [_fmt(v) for v in values]) + "\n")
     return path

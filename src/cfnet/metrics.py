@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .channel import RadioParams, sum_rate
+from .channel import RadioParams, sum_rate, user_rate
 from .clustering import Partition
 
 # intra-subnetwork leakage above this (relative to the intended signal)
@@ -47,7 +47,7 @@ def temporal_smoothness(gains_prev: np.ndarray, partition_t: Partition,
     `gains_prev`.  This matches the cut-based smoothness objective the
     partitioner optimizes, which scores today's labels on yesterday's graph.
     """
-    if gains_prev.shape[1] != partition_t.num_vertices:
+    if gains_prev.shape[1] != len(partition_t.vertex_labels):
         raise ValueError("partition does not match the gains dimensions")
     prev_anchor = np.argmax(gains_prev, axis=1)
     prev_view = Partition.from_vertex_labels(partition_t.vertex_labels,
@@ -166,7 +166,7 @@ def zfbf_evaluation(channels: np.ndarray, steps: Sequence[int],
     for m in range(groups):  # a running sum in subnetwork order, as one row alone adds it
         interference += contribution[:, m]
     sinr = signal / (interference + 1.0)
-    return ZfbfResult(per_user_rates=np.log2(1.0 + sinr), overloaded=overloaded.sum(axis=1),
+    return ZfbfResult(per_user_rates=user_rate(sinr), overloaded=overloaded.sum(axis=1),
                       rank_deficient=rank_deficient, max_crosstalk=max_crosstalk)
 
 

@@ -173,7 +173,7 @@ def test_c7_determinism(tmp_path):
     for name in ("one", "two"):
         cfg = dataclasses.replace(base, outputs=str(tmp_path / name))
         result = run_monte_carlo(cfg)
-        emit_outputs(result, cfg)
+        emit_outputs(result)
         payloads.append((tmp_path / name / "metrics.csv").read_bytes())
     _report("C7 determinism", payloads[0] == payloads[1],
             f"(two runs, {len(payloads[0])} bytes each, identical)")

@@ -16,11 +16,26 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")  # this checkout's sources, for the child interpreter
 
 
-def run_cli(args):
+def run_python(args):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "cfnet.cli", *args],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(args):
+    return run_python(["-m", "cfnet.cli", *args])
+
+
+def test_package_imports_its_modules_and_not_the_cli():
+    modules = "channel clustering graph harness metrics oracle topology".split()
+    proc = run_python(["-c", "import sys, types, cfnet; print(all(isinstance("
+                       f"getattr(cfnet, m, None), types.ModuleType) for m in {modules!r}), "
+                       "'cfnet.cli' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False\n"
+    # a package that imported cli would make runpy warn on `-m cfnet.cli`
+    proc = run_cli(["--help"])
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 def test_run_writes_outputs(tmp_path):

@@ -33,6 +33,24 @@ def test_blend_rejects_mismatched_shapes():
         blended_laplacian(np.eye(2), np.eye(2), 1.5)
 
 
+def test_blend_returns_each_operand_bit_for_bit_at_its_end():
+    # 1 x + 0 y is x bit for bit unless x holds a -0.0, which array_equal
+    # cannot tell from 0.0; few users leave BSs with no anchored user, whose
+    # Laplacian rows are all zero
+    alphas = np.array([0.0, 0.3, 1.0])
+    for seed, (K, L) in enumerate([(3, 12), (6, 20), (30, 50)] * 4):
+        g0, g1 = graph_pair(seed, K, L)
+        assert len(set(g0.anchor)) < L and not np.array_equal(g0.laplacian, g1.laplacian)
+        for lap in (g0.laplacian, g1.laplacian):
+            assert not np.signbit(lap[lap == 0.0]).any()
+        stack = blended_laplacian(g1.laplacian, g0.laplacian, alphas)
+        for alpha, blend in zip(alphas, stack):   # so the scalar ends are checked too
+            alone = blended_laplacian(g1.laplacian, g0.laplacian, alpha)
+            assert blend.tobytes() == alone.tobytes()
+        assert stack[0].tobytes() == g0.laplacian.tobytes()
+        assert stack[-1].tobytes() == g1.laplacian.tobytes()
+
+
 def test_blend_of_equal_matrices_ignores_alpha():
     a = np.array([[0.3, -0.3], [-0.3, 0.3]])
     for alpha in (0.1, 0.37, 0.99):
@@ -74,6 +92,13 @@ def test_eigenvectors_reject_asymmetric_input():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         smallest_eigenvectors(a, 1)
+    # eigh reads only the lower triangle, and no asymmetry test sees a NaN
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.eye(3)
+        a[0, 1] = bad
+        for matrix in (a, np.stack([np.eye(3), a])):
+            with pytest.raises(ValueError, match="finite"):
+                smallest_eigenvectors(matrix, 1)
 
 
 def test_eigenvector_count_bounds():

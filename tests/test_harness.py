@@ -200,13 +200,14 @@ def test_alpha_zero_reuse_is_exact():
     # alone on the grid, alpha = 0 clusters every step after the first itself;
     # beside alpha = 1 it reuses that branch's labels from the step before
     for i in range(2):
+        grids = ((0.0,), (0.0, 1.0), (1.0, 0.0))
         trials = [run_trial(dataclasses.replace(SMALL, alpha_grid=grid, time_steps=5),
                             trial_seed(SMALL.master_seed, i), snapshot_alpha=0.0)
-                  for grid in ((0.0,), (0.0, 1.0), (1.0, 0.0))]
+                  for grid in grids]
         lone = trials[0]
-        for trial in trials[1:]:
+        for grid, trial in zip(grids[1:], trials[1:]):
             assert np.array_equal(lone.kpis[:, 0],
-                                  trial.kpis[:, trial.alpha_grid.index(0.0)], equal_nan=True)
+                                  trial.kpis[:, grid.index(0.0)], equal_nan=True)
             assert len(trial.snapshots) == len(lone.snapshots) == 5
             for (t1, _, labels1, users1), (t2, _, labels2, users2) in zip(
                     lone.snapshots, trial.snapshots):
@@ -278,10 +279,10 @@ def test_summary_row_per_alpha():
 def test_emit_outputs_files_and_determinism(tmp_path):
     cfg = dataclasses.replace(SMALL, outputs=str(tmp_path / "a"))
     res = run_monte_carlo(cfg)
-    emit_outputs(res, cfg)
+    emit_outputs(res)
     cfg2 = dataclasses.replace(SMALL, outputs=str(tmp_path / "b"))
     res2 = run_monte_carlo(cfg2)
-    emit_outputs(res2, cfg2)
+    emit_outputs(res2)
     a, b = tmp_path / "a", tmp_path / "b"
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
@@ -292,7 +293,7 @@ def test_emit_outputs_files_and_determinism(tmp_path):
 def test_metrics_rows_ordered_trial_step_alpha(tmp_path):
     cfg = dataclasses.replace(SMALL, outputs=str(tmp_path))
     res = run_monte_carlo(cfg)
-    emit_outputs(res, cfg)
+    emit_outputs(res)
     rows = (tmp_path / "metrics.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == cfg.realizations * cfg.time_steps * len(cfg.alpha_grid)
     keys = []
@@ -308,11 +309,11 @@ def test_metrics_rows_ordered_trial_step_alpha(tmp_path):
 def test_config_echo_roundtrip_reproduces_metrics(tmp_path):
     cfg = dataclasses.replace(SMALL, outputs=str(tmp_path / "run1"))
     res = run_monte_carlo(cfg)
-    emit_outputs(res, cfg)
+    emit_outputs(res)
     echoed = load_config(tmp_path / "run1" / "config.echo")
     echoed = dataclasses.replace(echoed, outputs=str(tmp_path / "run2"))
     res2 = run_monte_carlo(echoed)
-    emit_outputs(res2, echoed)
+    emit_outputs(res2)
     assert (tmp_path / "run1" / "metrics.csv").read_bytes() == \
         (tmp_path / "run2" / "metrics.csv").read_bytes()
 
@@ -320,7 +321,7 @@ def test_config_echo_roundtrip_reproduces_metrics(tmp_path):
 def test_snapshots_written_for_first_trial(tmp_path):
     cfg = dataclasses.replace(SMALL, outputs=str(tmp_path))
     res = run_monte_carlo(cfg)
-    emit_outputs(res, cfg)
+    emit_outputs(res)
     for t in range(cfg.time_steps):
         path = tmp_path / f"snapshot_{t}.csv"
         assert path.exists()
@@ -335,7 +336,7 @@ def test_stale_snapshots_of_a_longer_run_are_removed(tmp_path):
     cfg = dataclasses.replace(SMALL, outputs=str(tmp_path))
     for name in ("snapshot_7.csv", "snapshot_x.csv", "notes.csv"):
         (tmp_path / name).write_text("old\n")
-    emit_outputs(run_monte_carlo(cfg), cfg)
+    emit_outputs(run_monte_carlo(cfg))
     assert not (tmp_path / "snapshot_7.csv").exists()
     assert sorted(p.name for p in tmp_path.glob("snapshot_*.csv")) == [
         "snapshot_0.csv", "snapshot_1.csv", "snapshot_2.csv", "snapshot_x.csv"]
@@ -354,7 +355,7 @@ def test_long_horizon_outputs_are_pinned(tmp_path):
     """
     cfg = dataclasses.replace(SMALL, time_steps=12, realizations=3, outputs=str(tmp_path))
     result = run_monte_carlo(cfg)
-    emit_outputs(result, cfg)
+    emit_outputs(result)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("metrics.csv", "summary.csv")}
     digests["kpi_means"] = hashlib.sha256(result.kpi_means.tobytes()).hexdigest()
