@@ -10,6 +10,13 @@ it so: each stack's (K, L_m) channels are gathered F-ordered, as `h[:, bs]`
 is, because BLAS multiplies a C-ordered (K, L_m) matrix by a one-user
 precoder along another path that rounds differently; and a user's
 interference is a running sum in subnetwork order.
+
+One SVD per stack gives both the rank test and the precoder.  The precoder
+is `np.linalg.pinv`'s to the bit, built by its arithmetic from the same
+factors.  The rank test is `np.linalg.matrix_rank`'s tolerance applied to
+those singular values, which LAPACK computes along another path than
+`matrix_rank`'s values-only SVD: a decision can differ from `matrix_rank`'s
+only for a singular value within rounding of the tolerance.
 """
 
 from dataclasses import dataclass
@@ -23,6 +30,7 @@ from .clustering import Partition
 # intra-subnetwork leakage above this (relative to the intended signal)
 # means the zero-forcing solve went numerically wrong
 _ZF_CROSSTALK_TOL = 1e-9
+_EPS = np.finfo(float).eps
 
 
 class MetricsRecord(NamedTuple):
@@ -102,8 +110,9 @@ def zfbf_evaluation(channels: np.ndarray, steps: Sequence[int],
     Interference at a user comes only from other subnetworks' transmissions.
 
     The served subnetworks of all rows are grouped by shape (K_m, L_m), and
-    each shape is solved as one stack.  A row's rates are the bits a call
-    with that row alone gives.
+    each shape is solved as one stack, with one SVD for its rank test and its
+    pseudo-inverses.  A row's rates are the bits a call with that row alone
+    gives.  Raises ValueError on an empty batch.
     """
     h = np.asarray(channels)
     if h.ndim != 3:
@@ -115,6 +124,8 @@ def zfbf_evaluation(channels: np.ndarray, steps: Sequence[int],
     for part in partitions:
         if part.vertex_labels.shape != (num_bs,) or part.user_assignment.shape != (num_users,):
             raise ValueError("partition does not match the channel dimensions")
+    if not partitions:
+        raise ValueError("need at least one row to score")
     rows, groups = len(partitions), max(part.M for part in partitions)
     pt = params.pt_over_sigma2  # noise power normalized to 1
     bs_count, bs_sorted, bs_start = _members(
@@ -137,10 +148,18 @@ def zfbf_evaluation(channels: np.ndarray, steps: Sequence[int],
         bs = bs_sorted[r[:, None], bs_start[r, m][:, None] + np.arange(l_m)]
         step = steps[r][:, None]
         local = by_bs[step[:, :, None], bs[:, None, :], users[:, :, None]]  # (n, k_m, l_m)
-        full = np.linalg.matrix_rank(local) == k_m
-        rank_deficient += np.bincount(r[~full], minlength=rows)
-        r, m, users, bs, step = r[full], m[full], users[full], bs[full], step[full]
-        precoder = np.linalg.pinv(local[full])  # (n, l_m, k_m), local @ precoder == I
+        # one SVD: matrix_rank's default tolerance, then pinv's arithmetic
+        u, s, vh = np.linalg.svd(local.conj(), full_matrices=False)
+        top = s.max(axis=1, keepdims=True)
+        full = (s > top * (max(k_m, l_m) * _EPS)).sum(axis=1) == k_m
+        if not full.all():
+            rank_deficient += np.bincount(r[~full], minlength=rows)
+            r, m, users, bs, step = r[full], m[full], users[full], bs[full], step[full]
+            u, s, vh, top = u[full], s[full], vh[full], top[full]
+        large = s > 1e-15 * top
+        inv = np.divide(1, s, where=large, out=s)
+        inv[~large] = 0
+        precoder = vh.swapaxes(1, 2) @ (inv[:, :, None] * u.swapaxes(1, 2))  # (n, l_m, k_m)
         beam_power = (np.abs(precoder) ** 2).sum(axis=1)
         precoder = precoder * np.sqrt(l_m * pt / (k_m * beam_power))[:, None, :]
         # each (K, l_m) channel F-ordered as h[:, bs] is: a C-ordered copy
@@ -148,9 +167,12 @@ def zfbf_evaluation(channels: np.ndarray, steps: Sequence[int],
         received = by_bs[step, bs].transpose(0, 2, 1) @ precoder  # (n, K, k_m)
         n = np.arange(r.size)[:, None]
         own = received[n, users]
-        intended = np.abs(np.diagonal(own, axis1=1, axis2=2))
+        own_diag = np.diagonal(own, axis1=1, axis2=2)
+        intended = np.abs(own_diag)
         if k_m > 1:
-            crosstalk = np.abs(own - np.where(np.eye(k_m, dtype=bool), own, 0))
+            # |own| off the diagonal; on it |d - d|, zero, or NaN where d is not finite
+            crosstalk = np.abs(own)
+            crosstalk.reshape(-1, k_m * k_m)[:, ::k_m + 1] = np.abs(own_diag - own_diag)
             rel = (crosstalk / intended[:, :, None]).max(axis=(1, 2))
             np.fmax.at(max_crosstalk, r, rel)  # NaN never raises the max
             wrong = rel > _ZF_CROSSTALK_TOL

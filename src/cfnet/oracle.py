@@ -10,6 +10,7 @@ sums that block alone, so every row's score is `blended_objective` of that row
 to the bit, and the first minimum of the stack is the first minimum of a loop.
 """
 
+import math
 from functools import cache
 from typing import Iterator, NamedTuple
 
@@ -100,11 +101,14 @@ def brute_force_best(graph_prev: AffinityGraph, graph_t: AffinityGraph,
     """
     if graph_prev.num_vertices != graph_t.num_vertices:
         raise ValueError("graphs must cover the same base stations")
+    if not (math.isfinite(alpha) and np.isfinite(graph_prev.weights).all()
+            and np.isfinite(graph_t.weights).all()):
+        raise ValueError("alpha and the graph weights must be finite")
     num_vertices = graph_t.num_vertices
     score = _blended_cuts(graph_prev, graph_t,
                           _separated_pairs(num_vertices, num_groups), alpha)
     if not np.isfinite(score).all():
-        raise ValueError("alpha and the graph weights must be finite, with finite cuts")
+        raise ValueError("the blended cuts overflow")
     k = int(np.argmin(score))                 # the first of equal minima
     labels = _partition_table(num_vertices, num_groups)[k].copy()
     return Partition.from_vertex_labels(labels, num_groups, graph_t.anchor), float(score[k])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfnet import harness
 from cfnet.channel import D_MIN, RadioParams, channel_gains, complex_channel, sum_rate
 from cfnet.clustering import SpectralConfig, initial_partition, temporal_smoothed_partition
 from cfnet.graph import build_graph
@@ -202,6 +203,22 @@ def test_rank_deficient_subnetwork_flagged_and_silent():
     assert np.all(result.per_user_rates == 0.0)
 
 
+def test_rank_test_uses_matrix_rank_tolerance():
+    """A 2-user, 14-BS subnetwork is rank deficient when its smaller singular
+    value is below matrix_rank's default tolerance, 14 eps times the larger:
+    at 6 eps it is (a tolerance of 2 eps would call it full), at 1e-6 not."""
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    part = make_partition([0] * 14, anchor=[0, 1], M=1)
+    for ratio, deficient in ((6 * eps, 1), (1e-6, 0)):
+        for _ in range(5):
+            u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            v, _ = np.linalg.qr(rng.standard_normal((14, 2)) + 1j * rng.standard_normal((14, 2)))
+            h = u @ np.diag([1.0, ratio]) @ v.conj().T
+            assert np.linalg.matrix_rank(h) == 2 - deficient
+            assert zf_one(h, part, RadioParams()).rank_deficient.tolist() == [deficient]
+
+
 def test_zfbf_total_power_budget_respected():
     rng = np.random.default_rng(9)
     h = (rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))) / np.sqrt(2)
@@ -287,6 +304,39 @@ def test_zf_batch_matches_per_subnetwork_reference():
             kinds["one group"] += (users == num_users).any() and num_users > 1
             kinds["M>=8"] += part.M >= 8
     assert min(kinds.values()) >= 10, kinds
+
+
+def test_zf_desk_batch_matches_per_subnetwork_reference(monkeypatch):
+    """Bitwise at desk scale (K/L/M 30/50/20): the rows of three trials, in
+    one batch, get the reference's rates, counts and crosstalk.  Desk stacks
+    are larger than the fuzz's, with up to about 30 users or BSs each."""
+    rows = []
+    monkeypatch.setattr(harness, "zfbf_evaluation",
+                        lambda h, steps, parts, params: rows.append((h, steps, parts)) or
+                        zfbf_evaluation(h, steps, parts, params))
+    config = harness.ExperimentConfig(K=30, L=50, M=20, realizations=3)
+    for i in range(3):
+        harness.run_trial(config, harness.trial_seed(0, i))
+    params = config.radio_params()
+    channels = np.concatenate([h for h, _, _ in rows])
+    steps = np.concatenate([np.asarray(s) + len(h) * i for i, (h, s, _) in enumerate(rows)])
+    parts = [part for _, _, trial in rows for part in trial]
+    batch = zfbf_evaluation(channels, steps, parts, params)
+    largest = 0
+    for i, (t, part) in enumerate(zip(steps, parts)):
+        rates, overloaded, rank_deficient, crosstalk = zf_reference(channels[t], part, params)
+        assert batch.per_user_rates[i].tobytes() == rates.tobytes()
+        assert batch.overloaded[i] == overloaded
+        assert batch.rank_deficient[i] == rank_deficient
+        assert batch.max_crosstalk[i] == crosstalk
+        largest = max(largest, np.bincount(part.user_assignment).max(),
+                      np.bincount(part.vertex_labels).max())
+    assert len(parts) == 75 and largest > 14
+
+
+def test_zfbf_rejects_an_empty_batch():
+    with pytest.raises(ValueError, match="at least one row"):
+        zfbf_evaluation(np.zeros((1, 2, 3), dtype=complex), [], [], RadioParams())
 
 
 # ------------------------------------------------------------ record_step

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import itertools
+import warnings
 from functools import lru_cache
 from pathlib import Path
 
@@ -195,11 +196,14 @@ def test_brute_force_returns_a_python_float_objective():
 
 
 def test_brute_force_rejects_non_finite_weights():
-    for value, alpha in ((np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan)):
+    # checked before any scoring, so numpy has no inf * 0 to warn about
+    for value, alpha in ((np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan), (1.0, np.inf)):
         g_prev, g_t = graph_pair(5, 8, 5)
         g_t.weights[0, 1] = g_t.weights[1, 0] = value
-        with pytest.raises(ValueError, match="finite"):
-            brute_force_best(g_prev, g_t, alpha, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                brute_force_best(g_prev, g_t, alpha, 2)
 
 
 def test_stacked_scores_equal_blended_objective_bit_for_bit():
