@@ -176,14 +176,15 @@ def _restart_states(root: np.random.SeedSequence) -> list:
     return states
 
 
-def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list) -> np.ndarray:
-    """k-means++ seeding of every (entry, restart) pair; returns (B, R, M, d).
+def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list) -> tuple:
+    """k-means++ seeding of every (entry, restart) pair.
 
-    `rows` is a (B, n, d) stack and `states` holds one PCG64 state per
-    restart, at most KMEANS_RESTARTS of them.  Restart r draws from the
-    module's Generator r loaded with states[r], shared by all entries.  Each
-    pair's centres are those a seeding of its entry on its own draws from a
-    Generator in that state:
+    Returns the (B, R, M, d) centres and the (B, R, n) index of each row's
+    nearest centre.  `rows` is a (B, n, d) stack and `states` holds one
+    PCG64 state per restart, at most KMEANS_RESTARTS of them.  Restart r
+    draws from the module's Generator r loaded with states[r], shared by all
+    entries.  Each pair's centres are those a seeding of its entry on its own
+    draws from a Generator in that state:
     `integers(n)` for the first centre, then for each further centre one draw
     weighted by the squared distance d2 to the nearest centre so far, or
     `integers(n)` when every row already coincides with a centre.  The
@@ -195,9 +196,15 @@ def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list) -> np.ndarray:
 
     Each restart draws `integers(n)` and `random(M - 1)` once for the whole
     stack, the numbers the sequential draws give.  A pair whose total reaches
-    0 drew `integers(n)` there, so it is replayed from its Generator reset to
-    states[r].  Distances to a picked row come from an exact table
-    ((rows - rows[j])**2).sum(), filled once per entry and picked row.
+    0 drew `integers(n)` there, so its later centres are replayed from its
+    Generator reset to states[r].  Distances to a picked row come from an
+    exact table ((rows - rows[j])**2).sum(), filled once per entry and picked
+    row: the arithmetic of Lloyd's exact form, since every centre is a row.
+    So the nearest centre, updated where a new centre is strictly closer than
+    d2 (ties keep the earliest, as argmin does), is the argmin of the exact
+    distances: Lloyd's first assignment.  A zero total leaves every row at
+    distance 0 from an earlier centre, so the replayed centres cannot take a
+    row from it.
     """
     B, n, d = rows.shape
     R = len(states)
@@ -210,22 +217,19 @@ def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list) -> np.ndarray:
     base = n * np.arange(B)[:, None]             # row b * n + j of `flat` is rows[b, j]
     table = np.empty((B * n, n))
     filled = np.zeros(B * n, dtype=bool)
-    centers = np.empty((B, R, M, d))
-    late = np.zeros((B, R), dtype=np.int64)    # per pair, centres drawn at a zero total
-    pick = base + first
+    picks = np.empty((M, B, R), dtype=np.int64)
+    totals = np.empty((M - 1, B, R))
+    nearest = np.zeros((B, R, n), dtype=np.int64)
+    picks[0] = base + first
     # a zero total makes its pair's cdf 0/0; that pair is replayed below
     with np.errstate(invalid="ignore"):
         for m in range(M):
+            pick = picks[m]
             if m:
-                totals = d2.sum(axis=2)
-                if not totals.all():
-                    late += totals == 0.0
-                cdf = (d2 / totals[:, :, None]).cumsum(axis=2)
+                d2.sum(axis=2, out=totals[m - 1])
+                cdf = (d2 / totals[m - 1, :, :, None]).cumsum(axis=2)
                 cdf /= cdf[:, :, -1:]
-                pick = base + (cdf <= draws[:, m - 1, None]).sum(axis=2)
-            centers[:, :, m] = flat[pick]
-            if m == M - 1:
-                break                            # no centre follows to need d2
+                np.add(base, (cdf <= draws[:, m - 1, None]).sum(axis=2), out=pick)
             new = pick[~filled[pick]]
             if new.size:
                 diff = rows[new // n]
@@ -234,7 +238,14 @@ def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list) -> np.ndarray:
                 table[new] = diff.sum(axis=2)
                 filled[new] = True
                 del diff
-            d2 = table[pick] if not m else np.minimum(d2, table[pick])
+            dist = table[pick]
+            if not m:
+                d2 = dist
+            else:
+                nearest[dist < d2] = m
+                np.minimum(d2, dist, out=d2)
+    centers = flat[picks.transpose(1, 2, 0)]
+    late = (totals == 0.0).sum(axis=0)           # per pair, centres drawn at a zero total
     for b, r in zip(*late.nonzero()):
         rng, start = rngs[r], M - late[b, r]
         rng.bit_generator.state = states[r]
@@ -242,17 +253,19 @@ def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list) -> np.ndarray:
         rng.random(start - 1)
         for m in range(start, M):
             centers[b, r, m] = rows[b, rng.integers(n)]
-    return centers
+    return centers, nearest
 
 
-def _gemm_gap_bound(scale: np.ndarray, d: int) -> np.ndarray:
-    """Gap between a row's two smallest GEMM distances that certifies its label.
+def _gemm_gap_bound(scale: float, d: int) -> float:
+    """Gap from a row's smallest GEMM distance that certifies its label.
 
-    With scale = ||x|| + max ||c||, the GEMM form ||x||^2 - 2 x.c + ||c||^2
-    and the exact form ((x - c)**2).sum() each lie within
-    gamma_{d+3} * scale^2 of the true squared distance, in any summation
-    order (gamma_n = n u / (1 - n u), u the unit roundoff).  A gap above four
-    times that leaves one centre nearest in both forms.  (2 scale)^2
+    With scale at least ||x|| + max ||c||, the GEMM form
+    ||x||^2 - 2 x.c + ||c||^2 and the exact form ((x - c)**2).sum() each lie
+    within gamma_{d+3} * scale^2 of the true squared distance, in any
+    summation order (gamma_n = n u / (1 - n u), u the unit roundoff).  A gap
+    above four times that leaves one centre nearest in both forms.  The bound
+    grows with scale, so one scale at least every row's, such as
+    max ||x|| + max ||c||, certifies every row it passes.  (2 scale)^2
     overflows before a GEMM distance can, so such a row is never certified;
     the last term covers the absolute error of gradual underflow.
     """
@@ -260,52 +273,60 @@ def _gemm_gap_bound(scale: np.ndarray, d: int) -> np.ndarray:
     return nu / (1.0 - nu) * (2.0 * scale) ** 2 + d * 2.0 ** -1070
 
 
-def _lloyd(rows: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
+def _lloyd(rows: np.ndarray, centers: np.ndarray, first: np.ndarray,
+           max_iters: int, tol: float):
     """Lloyd iterations of every restart at once from (R, M, d) seed centres.
 
-    Returns (R, n) labels and (R,) SSEs, each restart's equal to a run on its
-    own with exact distances ((x - c)**2).sum().  Distances come from one
-    GEMM over all restarts; a row whose two smallest lie within
-    `_gemm_gap_bound` takes its label from the exact form, so labels do not
-    depend on GEMM rounding.  A restart stops at its own convergence test
-    (relative SSE change at most `tol`) or at `max_iters`.
+    `first` is the (R, n) first assignment, each row's nearest seed centre
+    by the exact distances ((x - c)**2).sum() (`_kmeans_pp_centers` returns
+    it).  Returns (R, n) labels and (R,) SSEs, each restart's equal to a run
+    on its own with exact distances.  Later assignments take their distances
+    from one GEMM over all restarts, and a row is certified when exactly one
+    centre lies within `_gemm_gap_bound` of its smallest, at one scale per
+    iteration: max ||x|| + max ||c|| over the rows and the active restarts'
+    centres.  Every other row, NaN, inf and exact GEMM ties included, takes
+    its label from the exact form, so labels do not depend on GEMM rounding.
+    A restart stops at its own convergence test (relative SSE change at most
+    `tol`) or at `max_iters`.
     """
     rows = np.ascontiguousarray(rows)
     n, d = rows.shape
     R, M, _ = centers.shape
     cen = centers.transpose(1, 0, 2)     # (M, a, d) for the a active restarts
     xx = np.einsum("ij,ij->i", rows, rows)
+    xmax = np.sqrt(xx.max())
+    xt = -2.0 * rows.T                   # c.xt is -2 x.c to the bit, barring over/underflow
     weights = np.tile(rows.ravel(), R)   # row-major rows of each restart in turn
+    offsets = np.arange(R)[:, None]      # restart i's groups are m * a + i
+    columns = np.arange(d)
+    lab = first.copy()                   # the repair below writes into it
     labels = np.zeros((R, n), dtype=np.int64)
     sse = np.full(R, np.nan)             # NaN fails the first convergence test
     act = np.arange(R)
     # entered once per call, not once per iteration: it costs about 2 us
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iters):
+        for it in range(max_iters):
             a = act.size
-            cc = np.einsum("mrj,mrj->mr", cen, cen)
-            # (M, a * n) GEMM distances; overflow leaves inf or NaN, never certified
-            dist = (cen.reshape(M * a, d) @ rows.T).reshape(M, a, n)
-            dist *= -2.0
-            dist += xx
-            dist += cc[:, :, None]
-            dist = dist.reshape(M, a * n)
-            lab = dist.T.argmin(axis=1)
-            pick = (lab, np.arange(a * n))
-            best = dist[pick]
-            dist[pick] = np.inf
-            gap = dist.min(axis=0) - best
-            bound = _gemm_gap_bound(np.sqrt(xx) + np.sqrt(cc.max(axis=0))[:, None], d)
-            k = np.flatnonzero(~(gap.reshape(a, n) > bound))   # NaN gaps take the exact form too
-            if k.size:
-                # one centre at a time, so no temporary outgrows the rows taken
-                taken, restart = rows[k % n], k // n
-                exact = np.empty((k.size, M))
-                for m in range(M):
-                    exact[:, m] = ((taken - cen[m, restart]) ** 2).sum(axis=1)
-                lab[k] = exact.argmin(axis=1)
-            lab = lab.reshape(a, n)
-            group = lab * a + np.arange(a)[:, None]
+            if it:
+                cc = np.einsum("mrj,mrj->mr", cen, cen)
+                # (M, a * n) GEMM distances; overflow leaves inf or NaN, never certified
+                dist = (cen.reshape(M * a, d) @ xt).reshape(M, a, n)
+                dist += xx
+                dist += cc[:, :, None]
+                dist = dist.reshape(M, a * n)
+                lab = dist.argmin(axis=0)
+                dist -= dist.min(axis=0)
+                bound = _gemm_gap_bound(xmax + np.sqrt(cc.max()), d)
+                k = np.flatnonzero((dist <= bound).sum(axis=0) != 1)
+                if k.size:
+                    # one centre at a time, so no temporary outgrows the rows taken
+                    taken, restart = rows[k % n], k // n
+                    exact = np.empty((k.size, M))
+                    for m in range(M):
+                        exact[:, m] = ((taken - cen[m, restart]) ** 2).sum(axis=1)
+                    lab[k] = exact.argmin(axis=1)
+                lab = lab.reshape(a, n)
+            group = lab * a + offsets[:a]
             counts = np.bincount(group.ravel(), minlength=M * a).reshape(M, a)
             if not counts.all():
                 # an emptied cluster steals the point lying farthest from its own
@@ -318,10 +339,10 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, max_iters: int, tol: float):
                         counts[lab[r, worst], r] -= 1
                         lab[r, worst] = m
                         counts[m, r] = 1
-                group = lab * a + np.arange(a)[:, None]
+                group = lab * a + offsets[:a]
             # the scatter-add sums each group in row order, as mean(axis=0) of
             # the group's rows does when they have two or more columns
-            sums = np.bincount((group[:, :, None] * d + np.arange(d)).ravel(),
+            sums = np.bincount((group[:, :, None] * d + columns).ravel(),
                                weights=weights[:a * n * d], minlength=M * a * d)
             cen = sums.reshape(M, a, d) / counts[:, :, None]
             sq = rows - cen.reshape(M * a, d)[group]
@@ -349,14 +370,16 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     restart's last word r.  The k-means++ seeding of every (entry, restart)
     pair runs as one batch, each restart drawing from its own Generator with
     weighted draws that replicate `Generator.choice` (see
-    `_kmeans_pp_centers`).  Then, entry by entry, the Lloyd iterations of all
-    restarts run as one batch (see `_lloyd`), each restart until its own
-    convergence (relative SSE change at most KMEANS_TOL) or KMEANS_MAX_ITERS
-    iterations, with the labels and SSE of a run on its own.  Per entry, the
-    run with the lowest SSE wins and ties keep the earliest restart.  Labels
-    come from the exact squared distances wherever GEMM rounding could change
-    them, so they do not depend on the BLAS build.  Deterministic given (rows,
-    seed).  Rows must be finite, with squared distances that do not overflow.
+    `_kmeans_pp_centers`), which also gives each row's nearest seed by the
+    exact distances, Lloyd's first assignment.  Then, entry by entry, the
+    Lloyd iterations of all restarts run as one batch (see `_lloyd`), each
+    restart until its own convergence (relative SSE change at most
+    KMEANS_TOL) or KMEANS_MAX_ITERS iterations, with the labels and SSE of a
+    run on its own.  Per entry, the run with the lowest SSE wins and ties keep
+    the earliest restart.  Labels come from the exact squared distances
+    wherever GEMM rounding could change them, so they do not depend on the
+    BLAS build.  Deterministic given (rows, seed).  Rows must be finite, with
+    squared distances that do not overflow.
 
     The restart Generators are module state, loaded afresh by every call, so
     two threads must not call this at once; cfnet calls it from one thread.
@@ -377,8 +400,8 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     # temporaries grow B-fold, which at desk scale (B = 5) raised peak memory
     # by 1.4 MB (3%) for about 5% more throughput
     best = []
-    for entry, centers in zip(stack, _kmeans_pp_centers(stack, M, _restart_states(root))):
-        labels, sse = _lloyd(entry, centers, KMEANS_MAX_ITERS, KMEANS_TOL)
+    for entry, centers, first in zip(stack, *_kmeans_pp_centers(stack, M, _restart_states(root))):
+        labels, sse = _lloyd(entry, centers, first, KMEANS_MAX_ITERS, KMEANS_TOL)
         best.append(labels[int(np.argmin(sse))])
     return np.array(best).reshape(rows.shape[:-1])
 

@@ -97,17 +97,22 @@ def brute_force_best(graph_prev: AffinityGraph, graph_t: AffinityGraph,
     """Exact minimizer of the blended cut objective over all partitions.
 
     Returns (partition, objective), the objective that of `blended_objective`.
-    Ties keep the first candidate in canonical enumeration order.
+    Ties keep the first candidate in canonical enumeration order.  Raises
+    ValueError, with no numpy warning, when alpha or a weight is not finite
+    or when finite weights have a cut beyond the float range.
     """
     if graph_prev.num_vertices != graph_t.num_vertices:
         raise ValueError("graphs must cover the same base stations")
-    if not (math.isfinite(alpha) and np.isfinite(graph_prev.weights).all()
-            and np.isfinite(graph_t.weights).all()):
-        raise ValueError("alpha and the graph weights must be finite")
     num_vertices = graph_t.num_vertices
-    score = _blended_cuts(graph_prev, graph_t,
-                          _separated_pairs(num_vertices, num_groups), alpha)
+    # every score sums all L x L products, so a NaN or inf input, like an
+    # overflowing sum, leaves every score non-finite; the inputs are read only then
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = _blended_cuts(graph_prev, graph_t,
+                              _separated_pairs(num_vertices, num_groups), alpha)
     if not np.isfinite(score).all():
+        if not (math.isfinite(alpha) and np.isfinite(graph_prev.weights).all()
+                and np.isfinite(graph_t.weights).all()):
+            raise ValueError("alpha and the graph weights must be finite")
         raise ValueError("the blended cuts overflow")
     k = int(np.argmin(score))                 # the first of equal minima
     labels = _partition_table(num_vertices, num_groups)[k].copy()

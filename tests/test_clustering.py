@@ -312,8 +312,9 @@ def lloyd_runs(restarts=3):
     root = np.random.SeedSequence(5)
     states = [_ref_restart_rng(root, r).bit_generator.state for r in range(restarts)]
     for rows, m, _ in kmeans_fuzz_inputs():
-        centers = clustering._kmeans_pp_centers(rows[None], m, states)[0]
-        labels, sse = clustering._lloyd(rows, centers, 100, 1e-9)
+        centers, first = clustering._kmeans_pp_centers(rows[None], m, states)
+        centers = centers[0]
+        labels, sse = clustering._lloyd(rows, centers, first[0], 100, 1e-9)
         for r in range(restarts):
             yield (rows, centers[r], (labels[r], sse[r]),
                    _ref_lloyd(rows, m, _ref_restart_rng(root, r), 100, 1e-9))
@@ -349,7 +350,7 @@ def test_batched_seeding_replays_generator_choice():
     root = np.random.SeedSequence(99)
     states = [_ref_restart_rng(root, r).bit_generator.state for r in range(4)]
     for rows, m, _ in kmeans_fuzz_inputs():
-        centers = clustering._kmeans_pp_centers(rows[None], m, states)
+        centers, _ = clustering._kmeans_pp_centers(rows[None], m, states)
         for r, rng in enumerate(clustering._RESTART_RNGS[:4]):
             ref_rng = _ref_restart_rng(root, r)
             assert np.array_equal(centers[0, r], _ref_kmeans_pp_centers(rows, m, ref_rng))
@@ -420,6 +421,33 @@ def test_stacked_kmeans_matches_one_at_a_time():
         for rows, got in zip(stack, labels):
             assert np.array_equal(got, kmeans_rows(rows, m, seed=seed))
             assert np.array_equal(got, _ref_kmeans_rows(rows, m, seed=seed))
+
+
+def test_seeding_labels_are_nearest_seed_by_exact_distances():
+    # Lloyd's first assignment comes from the seeding: per pair and row, the
+    # first minimum of the exact ((x - c)**2).sum() over that pair's seeds.
+    # The stacks include duplicate rows, lattice ties and pairs replayed after
+    # a zero total
+    inputs = [(rows[None], m, seed) for rows, m, seed in kmeans_fuzz_inputs()]
+    for stack, m, seed in inputs + list(stacked_kmeans_inputs()):
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        centers, first = clustering._kmeans_pp_centers(stack, m, clustering._restart_states(root))
+        exact = ((stack[:, None, :, None, :] - centers[:, :, None, :, :]) ** 2).sum(axis=-1)
+        assert np.array_equal(first, exact.argmin(axis=-1))
+
+
+def test_desk_scale_stacked_kmeans_matches_reference():
+    # the harness's desk scale, beyond the fuzz: n = 50 BSs embedded in
+    # d = M = 20 columns, five alpha branches stacked, 19 seeding rounds
+    alphas = np.array([0.25, 0.5, 0.75, 0.9, 1.0])
+    for i in range(2):
+        g0, g1 = graph_pair(31 + i, 30, 50)
+        stack = smallest_eigenvectors(blended_laplacian(g1.laplacian, g0.laplacian, alphas), 20)
+        assert stack.shape == (5, 50, 20)
+        seed = derive_stream(trial_seed(7, i), STREAM_KMEANS)
+        labels = kmeans_rows(stack, 20, seed=seed)
+        for rows, got in zip(stack, labels):
+            assert np.array_equal(got, _ref_kmeans_rows(rows, 20, seed=seed))
 
 
 # ---------------------------------------------------------------- pipeline

@@ -196,7 +196,7 @@ def test_brute_force_returns_a_python_float_objective():
 
 
 def test_brute_force_rejects_non_finite_weights():
-    # checked before any scoring, so numpy has no inf * 0 to warn about
+    # scored with numpy's warnings off, so inf * 0 warns of nothing
     for value, alpha in ((np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan), (1.0, np.inf)):
         g_prev, g_t = graph_pair(5, 8, 5)
         g_t.weights[0, 1] = g_t.weights[1, 0] = value
@@ -204,6 +204,16 @@ def test_brute_force_rejects_non_finite_weights():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
                 brute_force_best(g_prev, g_t, alpha, 2)
+
+
+def test_brute_force_rejects_overflowing_cuts_without_warning():
+    # finite weights whose cuts exceed the float range: numpy's sum overflows
+    g_prev, g_t = graph_pair(5, 8, 5)
+    g_t.weights[g_t.weights > 0] = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            brute_force_best(g_prev, g_t, 1.0, 3)
 
 
 def test_stacked_scores_equal_blended_objective_bit_for_bit():
