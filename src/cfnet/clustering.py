@@ -30,7 +30,6 @@ from .graph import AffinityGraph
 # the k-means budget of every clustering
 KMEANS_RESTARTS = 10     # k-means++ restarts; the lowest SSE wins
 KMEANS_MAX_ITERS = 100   # Lloyd iterations per restart, at most
-KMEANS_TOL = 1e-9        # relative SSE change that counts as converged
 
 
 @dataclass
@@ -41,7 +40,9 @@ class SpectralConfig:
     # class constants, not fields: perfbench/tracing.py's partition_key reads them
     kmeans_restarts: ClassVar[int] = KMEANS_RESTARTS
     kmeans_max_iters: ClassVar[int] = KMEANS_MAX_ITERS
-    kmeans_tol: ClassVar[float] = KMEANS_TOL
+    # no SSE tolerance remains (a restart stops when its labels repeat); only
+    # perfbench's partition_key reads this
+    kmeans_tol: ClassVar[float] = 0.0
 
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -242,7 +243,7 @@ def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list) -> tuple:
             if not m:
                 d2 = dist
             else:
-                nearest[dist < d2] = m
+                np.putmask(nearest, dist < d2, m)
                 np.minimum(d2, dist, out=d2)
     centers = flat[picks.transpose(1, 2, 0)]
     late = (totals == 0.0).sum(axis=0)           # per pair, centres drawn at a zero total
@@ -263,9 +264,11 @@ def _gemm_gap_bound(scale: float, d: int) -> float:
     ||x||^2 - 2 x.c + ||c||^2 and the exact form ((x - c)**2).sum() each lie
     within gamma_{d+3} * scale^2 of the true squared distance, in any
     summation order (gamma_n = n u / (1 - n u), u the unit roundoff).  A gap
-    above four times that leaves one centre nearest in both forms.  The bound
-    grows with scale, so one scale at least every row's, such as
-    max ||x|| + max ||c||, certifies every row it passes.  (2 scale)^2
+    above four times that leaves one centre nearest in both forms.  A float
+    above fl(smallest + bound) lies above smallest + bound, so the test
+    distance <= fl(smallest + bound) passing for one centre alone certifies
+    it.  The bound grows with scale, so one scale at least every row's, such
+    as max ||x|| + max ||c||, certifies every row it passes.  (2 scale)^2
     overflows before a GEMM distance can, so such a row is never certified;
     the last term covers the absolute error of gradual underflow.
     """
@@ -273,8 +276,7 @@ def _gemm_gap_bound(scale: float, d: int) -> float:
     return nu / (1.0 - nu) * (2.0 * scale) ** 2 + d * 2.0 ** -1070
 
 
-def _lloyd(rows: np.ndarray, centers: np.ndarray, first: np.ndarray,
-           max_iters: int, tol: float):
+def _lloyd(rows: np.ndarray, centers: np.ndarray, first: np.ndarray, max_iters: int):
     """Lloyd iterations of every restart at once from (R, M, d) seed centres.
 
     `first` is the (R, n) first assignment, each row's nearest seed centre
@@ -282,12 +284,14 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, first: np.ndarray,
     it).  Returns (R, n) labels and (R,) SSEs, each restart's equal to a run
     on its own with exact distances.  Later assignments take their distances
     from one GEMM over all restarts, and a row is certified when exactly one
-    centre lies within `_gemm_gap_bound` of its smallest, at one scale per
-    iteration: max ||x|| + max ||c|| over the rows and the active restarts'
-    centres.  Every other row, NaN, inf and exact GEMM ties included, takes
-    its label from the exact form, so labels do not depend on GEMM rounding.
-    A restart stops at its own convergence test (relative SSE change at most
-    `tol`) or at `max_iters`.
+    centre's distance is at most fl(smallest + `_gemm_gap_bound`), at one
+    scale per iteration: max ||x|| + max ||c|| over the rows and the active
+    restarts' centres.  Every other row, NaN, inf and exact GEMM ties
+    included, takes its label from the exact form, so labels do not depend
+    on GEMM rounding.  A restart stops at the first iteration whose labels,
+    after the empty-cluster repair, repeat its previous ones, or at
+    `max_iters`.  Its SSE is scored once, from its final labels and the
+    centroids they give.
     """
     rows = np.ascontiguousarray(rows)
     n, d = rows.shape
@@ -298,16 +302,17 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, first: np.ndarray,
     xt = -2.0 * rows.T                   # c.xt is -2 x.c to the bit, barring over/underflow
     weights = np.tile(rows.ravel(), R)   # row-major rows of each restart in turn
     offsets = np.arange(R)[:, None]      # restart i's groups are m * a + i
-    columns = np.arange(d)
+    columns = np.tile(np.arange(d), R * n)   # column of each weight, for the scatter index
     lab = first.copy()                   # the repair below writes into it
-    labels = np.zeros((R, n), dtype=np.int64)
-    sse = np.full(R, np.nan)             # NaN fails the first convergence test
+    labels = np.empty((R, n), dtype=np.int64)
+    final = np.empty((M, R, d))          # each restart's centroids once it stops
     act = np.arange(R)
     # entered once per call, not once per iteration: it costs about 2 us
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(max_iters):
             a = act.size
             if it:
+                prev = lab
                 cc = np.einsum("mrj,mrj->mr", cen, cen)
                 # (M, a * n) GEMM distances; overflow leaves inf or NaN, never certified
                 dist = (cen.reshape(M * a, d) @ xt).reshape(M, a, n)
@@ -315,9 +320,9 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, first: np.ndarray,
                 dist += cc[:, :, None]
                 dist = dist.reshape(M, a * n)
                 lab = dist.argmin(axis=0)
-                dist -= dist.min(axis=0)
-                bound = _gemm_gap_bound(xmax + np.sqrt(cc.max()), d)
-                k = np.flatnonzero((dist <= bound).sum(axis=0) != 1)
+                near = dist.min(axis=0)
+                near += _gemm_gap_bound(xmax + np.sqrt(cc.max()), d)
+                k = np.flatnonzero((dist <= near).sum(axis=0) != 1)
                 if k.size:
                     # one centre at a time, so no temporary outgrows the rows taken
                     taken, restart = rows[k % n], k // n
@@ -340,22 +345,28 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, first: np.ndarray,
                         lab[r, worst] = m
                         counts[m, r] = 1
                 group = lab * a + offsets[:a]
+            if it:
+                # repeated labels give the centroids (and SSE) already held
+                moved = (lab != prev).any(axis=1)
+                if not moved.all():
+                    done = ~moved
+                    labels[act[done]] = lab[done]
+                    final[:, act[done]] = cen[:, done]
+                    act, lab, cen, counts = act[moved], lab[moved], cen[:, moved], counts[:, moved]
+                    if not act.size:
+                        break
+                    a = act.size
+                    group = lab * a + offsets[:a]
             # the scatter-add sums each group in row order, as mean(axis=0) of
             # the group's rows does when they have two or more columns
-            sums = np.bincount((group[:, :, None] * d + columns).ravel(),
+            sums = np.bincount(np.repeat(group.ravel() * d, d) + columns[:a * n * d],
                                weights=weights[:a * n * d], minlength=M * a * d)
             cen = sums.reshape(M, a, d) / counts[:, :, None]
-            sq = rows - cen.reshape(M * a, d)[group]
-            sq *= sq
-            cur = sq.reshape(a, n * d).sum(axis=1)
-            prev = sse[act]
-            labels[act] = lab
-            sse[act] = cur
-            going = ~(np.abs(prev - cur) <= tol * np.maximum(prev, 1e-12))
-            if not going.any():
-                break
-            act, cen = act[going], cen[:, going]
-    return labels, sse
+    labels[act] = lab
+    final[:, act] = cen
+    sq = rows - final.reshape(M * R, d)[labels * R + offsets]
+    sq *= sq
+    return labels, sq.reshape(R, n * d).sum(axis=1)
 
 
 def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
@@ -373,13 +384,13 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     `_kmeans_pp_centers`), which also gives each row's nearest seed by the
     exact distances, Lloyd's first assignment.  Then, entry by entry, the
     Lloyd iterations of all restarts run as one batch (see `_lloyd`), each
-    restart until its own convergence (relative SSE change at most
-    KMEANS_TOL) or KMEANS_MAX_ITERS iterations, with the labels and SSE of a
-    run on its own.  Per entry, the run with the lowest SSE wins and ties keep
-    the earliest restart.  Labels come from the exact squared distances
-    wherever GEMM rounding could change them, so they do not depend on the
-    BLAS build.  Deterministic given (rows, seed).  Rows must be finite, with
-    squared distances that do not overflow.
+    restart until its labels repeat or KMEANS_MAX_ITERS iterations, with the
+    labels and SSE of a run on its own; each restart's SSE is scored once,
+    from its final labels.  Per entry, the run with the lowest SSE wins and
+    ties keep the earliest restart.  Labels come from the exact squared
+    distances wherever GEMM rounding could change them, so they do not depend
+    on the BLAS build.  Deterministic given (rows, seed).  Rows must be
+    finite, with squared distances that do not overflow.
 
     The restart Generators are module state, loaded afresh by every call, so
     two threads must not call this at once; cfnet calls it from one thread.
@@ -401,7 +412,7 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     # by 1.4 MB (3%) for about 5% more throughput
     best = []
     for entry, centers, first in zip(stack, *_kmeans_pp_centers(stack, M, _restart_states(root))):
-        labels, sse = _lloyd(entry, centers, first, KMEANS_MAX_ITERS, KMEANS_TOL)
+        labels, sse = _lloyd(entry, centers, first, KMEANS_MAX_ITERS)
         best.append(labels[int(np.argmin(sse))])
     return np.array(best).reshape(rows.shape[:-1])
 

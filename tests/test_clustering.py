@@ -204,6 +204,7 @@ def _ref_kmeans_pp_centers(rows, M, rng):
     return centers
 
 
+# stops by SSE change, the library when labels repeat: matches show no input stops elsewhere
 def _ref_lloyd(rows, M, rng, max_iters, tol):
     n = rows.shape[0]
     centers = _ref_kmeans_pp_centers(rows, M, rng)
@@ -314,7 +315,7 @@ def lloyd_runs(restarts=3):
     for rows, m, _ in kmeans_fuzz_inputs():
         centers, first = clustering._kmeans_pp_centers(rows[None], m, states)
         centers = centers[0]
-        labels, sse = clustering._lloyd(rows, centers, first[0], 100, 1e-9)
+        labels, sse = clustering._lloyd(rows, centers, first[0], 100)
         for r in range(restarts):
             yield (rows, centers[r], (labels[r], sse[r]),
                    _ref_lloyd(rows, m, _ref_restart_rng(root, r), 100, 1e-9))
@@ -339,6 +340,21 @@ def test_lloyd_exact_fallback_matches_certified_path(monkeypatch):
         assert np.array_equal(exact_labels, labels)
         assert np.array_equal(exact_labels, ref_labels)
         assert exact_sse == sse == ref_sse
+
+
+def test_restart_stops_when_the_repair_restores_its_labels(monkeypatch):
+    # all rows equal: every assignment puts each row in cluster 0 and the
+    # repair refills the emptied clusters as it did one iteration before, so
+    # the labels compared after the repair repeat and every restart stops on
+    # its first GEMM assignment (counted by its one certificate bound)
+    calls = []
+    bound = clustering._gemm_gap_bound
+    monkeypatch.setattr(clustering, "_gemm_gap_bound",
+                        lambda scale, d: calls.append(scale) or bound(scale, d))
+    for m in (2, 5):
+        calls.clear()
+        assert set(kmeans_rows(np.full((6, 3), 0.25), m, seed=m).tolist()) == set(range(m))
+        assert len(calls) == 1
 
 
 def test_batched_seeding_replays_generator_choice():
@@ -436,18 +452,36 @@ def test_seeding_labels_are_nearest_seed_by_exact_distances():
         assert np.array_equal(first, exact.argmin(axis=-1))
 
 
-def test_desk_scale_stacked_kmeans_matches_reference():
-    # the harness's desk scale, beyond the fuzz: n = 50 BSs embedded in
-    # d = M = 20 columns, five alpha branches stacked, 19 seeding rounds
+def desk_stacks():
+    """(stack, seed): the harness's desk scale, beyond the fuzz: n = 50 BSs
+    embedded in d = M = 20 columns, five alpha branches stacked, 19 seeding
+    rounds."""
     alphas = np.array([0.25, 0.5, 0.75, 0.9, 1.0])
     for i in range(2):
         g0, g1 = graph_pair(31 + i, 30, 50)
         stack = smallest_eigenvectors(blended_laplacian(g1.laplacian, g0.laplacian, alphas), 20)
         assert stack.shape == (5, 50, 20)
-        seed = derive_stream(trial_seed(7, i), STREAM_KMEANS)
+        yield stack, derive_stream(trial_seed(7, i), STREAM_KMEANS)
+
+
+def test_desk_scale_stacked_kmeans_matches_reference():
+    for stack, seed in desk_stacks():
         labels = kmeans_rows(stack, 20, seed=seed)
         for rows, got in zip(stack, labels):
             assert np.array_equal(got, _ref_kmeans_rows(rows, 20, seed=seed))
+
+
+def test_desk_scale_lloyd_matches_reference_restart_by_restart():
+    # every restart's stopping point, not only the winner's: its labels, and
+    # its SSE to the bit, equal the reference's under the SSE-change rule
+    for stack, seed in desk_stacks():
+        centers, first = clustering._kmeans_pp_centers(stack, 20, clustering._restart_states(seed))
+        for rows, entry_centers, entry_first in zip(stack, centers, first):
+            labels, sse = clustering._lloyd(rows, entry_centers, entry_first, 100)
+            for r in range(clustering.KMEANS_RESTARTS):
+                ref_labels, ref_sse = _ref_lloyd(rows, 20, _ref_restart_rng(seed, r), 100, 1e-9)
+                assert np.array_equal(labels[r], ref_labels)
+                assert sse[r] == ref_sse
 
 
 # ---------------------------------------------------------------- pipeline
