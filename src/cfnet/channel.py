@@ -67,15 +67,19 @@ def per_user_sinr(gains: np.ndarray, partition: "Partition", params: RadioParams
     interference sums the gains of every BS outside the user's subnetwork.
     Only the ratio pt_over_sigma2 enters:
     sinr = r * g_best / (r * sum_outside + 1).
+
+    Takes one row, (K, L) gains and a partition, or a stack of rows, gains
+    and partition arrays whose leading axes broadcast together, through the
+    same code; each row reduces along its own contiguous last axis, so it
+    gets the bits it gets alone.
     """
-    num_users, num_bs = gains.shape
     labels = partition.vertex_labels
     assignment = partition.user_assignment
-    if labels.shape[0] != num_bs or assignment.shape[0] != num_users:
+    if labels.shape[-1] != gains.shape[-1] or assignment.shape[-1] != gains.shape[-2]:
         raise ValueError("partition does not match the gains dimensions")
-    strongest = gains[np.arange(num_users), np.argmax(gains, axis=1)]
-    outside = labels[None, :] != assignment[:, None]
-    interference = np.where(outside, gains, 0.0).sum(axis=1)
+    strongest = gains.max(axis=-1)
+    outside = labels[..., None, :] != assignment[..., :, None]
+    interference = np.where(outside, gains, 0.0).sum(axis=-1)
     r = params.pt_over_sigma2
     return r * strongest / (r * interference + 1.0)
 
@@ -85,11 +89,11 @@ def user_rate(sinr):
     return np.log2(1.0 + sinr)
 
 
-def sum_rate(gains: np.ndarray, partition: "Partition", params: RadioParams) -> float:
-    """Network sum rate under a partition, for the gains passed in.
+def sum_rate(gains: np.ndarray, partition: "Partition", params: RadioParams):
+    """Network sum rate under a partition, for the gains passed in: a float
+    for one row, one per row for a stack (see `per_user_sinr`).
 
     Passing the previous step's gains together with the current partition
     yields the temporal-smoothness score.
     """
-    return float(user_rate(per_user_sinr(gains, partition, params)).sum())
-
+    return user_rate(per_user_sinr(gains, partition, params)).sum(axis=-1)

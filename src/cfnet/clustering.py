@@ -53,7 +53,13 @@ class SpectralConfig:
 
 @dataclass
 class Partition:
-    """Assignment of the L BS vertices (and through them, users) to subnetworks."""
+    """Assignment of the L BS vertices (and through them, users) to subnetworks.
+
+    `from_vertex_labels` builds one checked partition.  Arrays with leading
+    axes, (..., L) labels and (..., K) assignments, stand for a stack of
+    partitions of one network; the gain KPIs in `channel` and `metrics`
+    take either.
+    """
 
     vertex_labels: np.ndarray   # (L,) values in {0..M-1}, every label present
     M: int
@@ -72,8 +78,9 @@ class Partition:
         return cls(vertex_labels=labels, M=M, user_assignment=labels[anchor])
 
     def connection_matrix(self) -> np.ndarray:
-        """(K, L) boolean matrix: user k is served by every BS sharing its label."""
-        return self.vertex_labels[None, :] == self.user_assignment[:, None]
+        """(K, L) boolean matrix, (..., K, L) for a stack: user k is served
+        by every BS sharing its label."""
+        return self.vertex_labels[..., None, :] == self.user_assignment[..., :, None]
 
 
 def blended_laplacian(lap_t: np.ndarray, lap_prev: np.ndarray, alpha) -> np.ndarray:
@@ -132,8 +139,11 @@ _HASH_B = [_INIT_B * _MULT_B ** i & _MASK32 for i in range(9)]
 _OUT_XOR = np.array(_HASH_B[:8], dtype=np.uint32).reshape(2, 4)
 _OUT_MUL = np.array(_HASH_B[1:], dtype=np.uint32).reshape(2, 4)
 _RESTART_WORDS = np.arange(KMEANS_RESTARTS, dtype=np.uint32)[:, None]
-# the restart Generators, reloaded by every call; module state, so one thread at a time
+# the restart Generators, loaded afresh for each seeding draw and replay, and
+# the last seed's restart draws (see _restart_draws); module state, so one
+# thread at a time
 _RESTART_RNGS = [np.random.Generator(np.random.PCG64(0)) for _ in range(KMEANS_RESTARTS)]
+_last_draws = (None, None)
 
 
 def _restart_states(root: np.random.SeedSequence) -> list:
@@ -177,30 +187,68 @@ def _restart_states(root: np.random.SeedSequence) -> list:
     return states
 
 
-def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list) -> tuple:
+def _draw_seeding(states: list, n: int, M: int) -> tuple:
+    """Each restart's k-means++ numbers for n rows and M centres: the module's
+    Generator r, loaded with states[r], draws `integers(n)` into initial[r],
+    then `random(M - 1)` into weighted[r].  Returns (initial, weighted)."""
+    rngs = _RESTART_RNGS[:len(states)]
+    for rng, state in zip(rngs, states):
+        rng.bit_generator.state = state
+    initial = np.array([rng.integers(n) for rng in rngs])
+    weighted = np.array([rng.random(M - 1) for rng in rngs]).reshape(len(states), M - 1)
+    return initial, weighted
+
+
+def _restart_draws(root: np.random.SeedSequence, n: int, M: int) -> tuple:
+    """(states, initial, weighted) of seed `root`'s restarts for n rows and M
+    centres: `_restart_states(root)`, then `_draw_seeding` from them.
+
+    A memo of one entry, keyed by the seed's value (entropy and spawn key)
+    and (n, M), keeps the last result, so the clusterings of one harness
+    trial, which share their seed, derive and draw these numbers once.  A
+    hit returns the numbers a fresh derivation gives, read-only.  Only seeds
+    whose entropy and spawn key words are all ints are compared; any other
+    seed is derived afresh.
+    """
+    global _last_draws
+    key = (root.entropy, root.spawn_key, n, M)
+    if not all(isinstance(word, int) for word in (root.entropy, *root.spawn_key)):
+        key = None
+    elif key == _last_draws[0]:
+        return _last_draws[1]
+    states = _restart_states(root)
+    initial, weighted = _draw_seeding(states, n, M)
+    initial.flags.writeable = weighted.flags.writeable = False
+    _last_draws = key, (states, initial, weighted)
+    return _last_draws[1]
+
+
+def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list, initial: np.ndarray,
+                       weighted: np.ndarray) -> tuple:
     """k-means++ seeding of every (entry, restart) pair.
 
     Returns the (B, R, M, d) centres and the (B, R, n) index of each row's
     nearest centre.  `rows` is a (B, n, d) stack and `states` holds one
-    PCG64 state per restart, at most KMEANS_RESTARTS of them.  Restart r
-    draws from the module's Generator r loaded with states[r], shared by all
-    entries.  Each pair's centres are those a seeding of its entry on its own
-    draws from a Generator in that state:
+    PCG64 state per restart, at most KMEANS_RESTARTS of them; `initial` and
+    `weighted` are the numbers `_draw_seeding` draws from them, shared by
+    all entries.  Each pair's centres are those a seeding of its entry on
+    its own draws from a Generator in restart r's state:
     `integers(n)` for the first centre, then for each further centre one draw
     weighted by the squared distance d2 to the nearest centre so far, or
     `integers(n)` when every row already coincides with a centre.  The
     weighted draw is made as `Generator.choice(n, p=d2 / total)` makes it
     (normalised cumulative sum, one `random()`, a right-sided search, here
     `(cdf <= u).sum()` on the nondecreasing cdf), so it picks the same index.
-    With one entry, every Generator ends in the state that seeding leaves it
-    in.
 
-    Each restart draws `integers(n)` and `random(M - 1)` once for the whole
-    stack, the numbers the sequential draws give.  A pair whose total reaches
-    0 drew `integers(n)` there, so its later centres are replayed from its
-    Generator reset to states[r].  Distances to a picked row come from an
-    exact table ((rows - rows[j])**2).sum(), filled once per entry and picked
-    row: the arithmetic of Lloyd's exact form, since every centre is a row.
+    `integers(n)` then `random(M - 1)` are the numbers those sequential draws
+    give while no total is 0.  A pair whose total reaches 0 drew
+    `integers(n)` there, so its later centres are replayed from the module's
+    Generator r reloaded with states[r].  A Generator that loads states[r]
+    and draws those numbers (`_draw_seeding`), then takes part in the
+    seeding of one entry, ends in the state that seeding leaves it in.
+    Distances to a picked row come from an exact table
+    ((rows - rows[j])**2).sum(), filled once per entry and picked row: the
+    arithmetic of Lloyd's exact form, since every centre is a row.
     So the nearest centre, updated where a new centre is strictly closer than
     d2 (ties keep the earliest, as argmin does), is the argmin of the exact
     distances: Lloyd's first assignment.  A zero total leaves every row at
@@ -209,11 +257,6 @@ def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list) -> tuple:
     """
     B, n, d = rows.shape
     R = len(states)
-    rngs = _RESTART_RNGS[:R]
-    for rng, state in zip(rngs, states):
-        rng.bit_generator.state = state
-    first = np.array([rng.integers(n) for rng in rngs])
-    draws = np.array([rng.random(M - 1) for rng in rngs]).reshape(R, M - 1)
     flat = rows.reshape(B * n, d)
     base = n * np.arange(B)[:, None]             # row b * n + j of `flat` is rows[b, j]
     table = np.empty((B * n, n))
@@ -221,7 +264,7 @@ def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list) -> tuple:
     picks = np.empty((M, B, R), dtype=np.int64)
     totals = np.empty((M - 1, B, R))
     nearest = np.zeros((B, R, n), dtype=np.int64)
-    picks[0] = base + first
+    picks[0] = base + initial
     # a zero total makes its pair's cdf 0/0; that pair is replayed below
     with np.errstate(invalid="ignore"):
         for m in range(M):
@@ -230,7 +273,7 @@ def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list) -> tuple:
                 d2.sum(axis=2, out=totals[m - 1])
                 cdf = (d2 / totals[m - 1, :, :, None]).cumsum(axis=2)
                 cdf /= cdf[:, :, -1:]
-                np.add(base, (cdf <= draws[:, m - 1, None]).sum(axis=2), out=pick)
+                np.add(base, (cdf <= weighted[:, m - 1, None]).sum(axis=2), out=pick)
             new = pick[~filled[pick]]
             if new.size:
                 diff = rows[new // n]
@@ -248,13 +291,16 @@ def _kmeans_pp_centers(rows: np.ndarray, M: int, states: list) -> tuple:
     centers = flat[picks.transpose(1, 2, 0)]
     late = (totals == 0.0).sum(axis=0)           # per pair, centres drawn at a zero total
     for b, r in zip(*late.nonzero()):
-        rng, start = rngs[r], M - late[b, r]
+        rng, start = _RESTART_RNGS[r], M - late[b, r]
         rng.bit_generator.state = states[r]
         rng.integers(n)
         rng.random(start - 1)
         for m in range(start, M):
             centers[b, r, m] = rows[b, rng.integers(n)]
     return centers, nearest
+
+
+_EPS = np.finfo(float).eps
 
 
 def _gemm_gap_bound(scale: float, d: int) -> float:
@@ -272,7 +318,7 @@ def _gemm_gap_bound(scale: float, d: int) -> float:
     overflows before a GEMM distance can, so such a row is never certified;
     the last term covers the absolute error of gradual underflow.
     """
-    nu = (d + 3) * np.finfo(float).eps / 2
+    nu = (d + 3) * _EPS / 2
     return nu / (1.0 - nu) * (2.0 * scale) ** 2 + d * 2.0 ** -1070
 
 
@@ -378,11 +424,14 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     seeded by `SeedSequence(s.entropy, spawn_key=s.spawn_key + (r,))`, an int
     seed standing for `SeedSequence(seed)`; `_restart_states` derives those
     states from numpy's pool of the prefix all restarts share, mixing in each
-    restart's last word r.  The k-means++ seeding of every (entry, restart)
-    pair runs as one batch, each restart drawing from its own Generator with
-    weighted draws that replicate `Generator.choice` (see
-    `_kmeans_pp_centers`), which also gives each row's nearest seed by the
-    exact distances, Lloyd's first assignment.  Then, entry by entry, the
+    restart's last word r.  Each restart's k-means++ numbers, `integers(n)`
+    and `random(M - 1)`, are drawn once for the whole stack, and
+    `_restart_draws` keeps the last seed's states and numbers, keyed by the
+    seed's value and (n, M): the calls of a harness trial share one seed, so
+    all but its first reuse them.  The seeding of every (entry, restart) pair
+    runs as one batch, with weighted draws that replicate `Generator.choice`
+    (see `_kmeans_pp_centers`), which also gives each row's nearest seed by
+    the exact distances, Lloyd's first assignment.  Then, entry by entry, the
     Lloyd iterations of all restarts run as one batch (see `_lloyd`), each
     restart until its labels repeat or KMEANS_MAX_ITERS iterations, with the
     labels and SSE of a run on its own; each restart's SSE is scored once,
@@ -392,8 +441,10 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     on the BLAS build.  Deterministic given (rows, seed).  Rows must be
     finite, with squared distances that do not overflow.
 
-    The restart Generators are module state, loaded afresh by every call, so
-    two threads must not call this at once; cfnet calls it from one thread.
+    The restart Generators and the memo of the last seed's draws are module
+    state, so two threads must not call this at once; cfnet calls it from
+    one thread.  A call that hits the memo leaves the Generators as an
+    earlier call left them, unless a seeding pair is replayed.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim not in (2, 3):
@@ -411,7 +462,8 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     # temporaries grow B-fold, which at desk scale (B = 5) raised peak memory
     # by 1.4 MB (3%) for about 5% more throughput
     best = []
-    for entry, centers, first in zip(stack, *_kmeans_pp_centers(stack, M, _restart_states(root))):
+    seeding = _kmeans_pp_centers(stack, M, *_restart_draws(root, stack.shape[1], M))
+    for entry, centers, first in zip(stack, *seeding):
         labels, sse = _lloyd(entry, centers, first, KMEANS_MAX_ITERS)
         best.append(labels[int(np.argmin(sse))])
     return np.array(best).reshape(rows.shape[:-1])

@@ -22,17 +22,24 @@ repeats a value (0.0 and -0.0 count as equal) is a config error.
 
 Results: a trial keeps its KPIs in one float array `kpis` of shape
 (time_steps, n_alpha, 4), each (step, alpha) row the record `record_step`
-returns.  The last axis follows KPI_NAMES, which is also the column order of
-metrics.csv.  An entry is NaN where its KPI is undefined: the history KPIs at
-step 0, and the ZF rate when ZF evaluation is off.  Every output (per-trial
-means, kpi_matrix, metrics.csv, summary.csv) is a reduction of these arrays.
+would return for it.  The last axis follows KPI_NAMES, which is also the
+column order of metrics.csv.  An entry is NaN where its KPI is undefined:
+the history KPIs at step 0, and the ZF rate when ZF evaluation is off.
+Every output (per-trial means, kpi_matrix, metrics.csv, summary.csv) is a
+reduction of these arrays.
 
-With ZF on, a trial keeps each step's fading channel in one (time_steps, K,
-L) array and the partition of every row: the bootstrap, then each (step,
-alpha) row.  After the last step one `zfbf_evaluation` call scores them all
-and fills the ZF column; the bootstrap row's rate fills every alpha of step
-0.  That call stacks the subnetworks of all rows by shape and gives each row
-the bits it would get alone, so the outputs are those of a per-row scorer.
+A trial scores its KPIs after the last step.  It keeps every step's gains
+in one (time_steps, K, L) array and its partitions as a (time_steps,
+n_alpha) grid, the bootstrap partition at every alpha of step 0, so each
+branch's history is the grid entry one step earlier.  One call of each gain
+KPI scores the grid, each step's gains broadcast over its alphas:
+`sum_rate` on every step, `temporal_smoothness` and `handover_count` on the
+steps after the bootstrap.  Those functions reduce each entry as they reduce
+it alone, so every KPI has the bits of a `record_step` call per row.  With
+ZF on, the trial also keeps each step's fading channel, and one
+`zfbf_evaluation` call scores the bootstrap row and each (step, alpha) row,
+stacking their subnetworks by shape with each row's bits those it gets
+alone; the bootstrap row's rate fills every alpha of step 0.
 """
 
 import dataclasses
@@ -43,10 +50,10 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import RadioParams, channel_gains, complex_channel
+from .channel import RadioParams, channel_gains, complex_channel, sum_rate
 from .clustering import Partition, SpectralConfig, initial_partition, temporal_smoothed_partitions
 from .graph import build_graph
-from .metrics import KPI_NAMES, record_step, zfbf_evaluation
+from .metrics import KPI_NAMES, handover_count, temporal_smoothness, zfbf_evaluation
 from .topology import Layout, MobilityParams, generate_layout, step_waypoint
 
 STREAM_LAYOUT = 0
@@ -54,7 +61,8 @@ STREAM_MOBILITY = 1
 STREAM_FADING = 2
 STREAM_KMEANS = 3
 
-_ZF = KPI_NAMES.index("zfbf_sum_rate")
+_RATE, _SMOOTH, _HANDOVERS, _ZF = map(
+    KPI_NAMES.index, ("sum_rate", "temporal_smoothness", "handovers", "zfbf_sum_rate"))
 
 
 class ConfigError(Exception):
@@ -217,10 +225,11 @@ def run_trial(config: ExperimentConfig, seed,
         raise ConfigError("snapshot_alpha must be one of the alpha_grid values")
 
     layout = generate_layout(config.K, config.L, derive_stream(base, STREAM_LAYOUT))
-    gains = channel_gains(layout, radio)
-    graph = build_graph(gains)
-    # every step's fading channel and every row's (step, partition), for
-    # the one zero-forcing call after the last step
+    # every step's gains and fading channel, and every row's (step,
+    # partition), for the one call of each KPI after the last step
+    step_gains = np.empty((config.time_steps, config.K, config.L))
+    step_gains[0] = channel_gains(layout, radio)
+    graph = build_graph(step_gains[0])
     channels = np.empty((config.time_steps, config.K, config.L), dtype=complex) \
         if config.evaluate_zfbf else None
     if channels is not None:
@@ -229,10 +238,7 @@ def run_trial(config: ExperimentConfig, seed,
     # the bootstrap step has no history, so it is alpha-independent
     spectral = config.spectral_config(1.0, kmeans_seed)
     first = initial_partition(graph, spectral)
-    kpis = np.empty((config.time_steps, len(alphas), len(KPI_NAMES)))
-    kpis[0] = record_step(0, gains, first, radio)
     scored = [(0, first)]
-    previous: list[Partition] = [first for _ in alphas]
     snapshots = None if snapshot_alpha is None else [
         (0, layout, first.vertex_labels.copy(), first.user_assignment.copy())]
     # vertex labels of the previous graph's Laplacian clustered on its own
@@ -241,8 +247,8 @@ def run_trial(config: ExperimentConfig, seed,
 
     for t in range(1, config.time_steps):
         layout = step_waypoint(layout, mobility, derive_stream(base, STREAM_MOBILITY, t))
-        gains_t = channel_gains(layout, radio)
-        graph_t = build_graph(gains_t)
+        step_gains[t] = channel_gains(layout, radio)
+        graph_t = build_graph(step_gains[t])
         if channels is not None:
             channels[t] = complex_channel(layout, radio, derive_stream(base, STREAM_FADING, t))
         # alpha = 0 reuses `alone`; every other branch is clustered in one batch
@@ -250,22 +256,32 @@ def run_trial(config: ExperimentConfig, seed,
         fresh = iter(temporal_smoothed_partitions(
             graph, graph_t, spectral, [alpha for alpha in alphas if not (alpha == 0.0 and reuse)]))
         alone_t = None
-        for a, alpha in enumerate(alphas):
+        for alpha in alphas:
             if alpha == 0.0 and reuse:
                 part = Partition.from_vertex_labels(alone, config.M, graph_t.anchor)
             else:
                 part = next(fresh)
             if alpha == 1.0:
                 alone_t = part.vertex_labels
-            kpis[t, a] = record_step(t, gains_t, part, radio, gains_prev=gains,
-                                     partition_prev=previous[a])
             scored.append((t, part))
-            previous[a] = part
             if alpha == snapshot_alpha:
                 snapshots.append((t, layout, part.vertex_labels.copy(),
                                   part.user_assignment.copy()))
-        gains, graph, alone = gains_t, graph_t, alone_t
+        graph, alone = graph_t, alone_t
 
+    # the (step, alpha) grid of partitions, the bootstrap at every alpha of
+    # step 0, so each branch's history is the grid row one step earlier
+    grid = [first] * len(alphas) + [part for _, part in scored[1:]]
+    shape = (config.time_steps, len(alphas))
+    labels = np.stack([part.vertex_labels for part in grid]).reshape(*shape, config.L)
+    assignment = np.stack([part.user_assignment for part in grid]).reshape(*shape, config.K)
+    later = Partition(labels[1:], config.M, assignment[1:])
+    kpis = np.full(shape + (len(KPI_NAMES),), np.nan)
+    # each step's gains broadcast over its alphas
+    kpis[..., _RATE] = sum_rate(step_gains[:, None], Partition(labels, config.M, assignment), radio)
+    kpis[1:, :, _SMOOTH] = temporal_smoothness(step_gains[:-1, None], later, radio)
+    kpis[1:, :, _HANDOVERS] = handover_count(
+        Partition(labels[:-1], config.M, assignment[:-1]), later)
     if channels is not None:
         zf = zfbf_evaluation(channels, *zip(*scored), radio).sum_rate
         kpis[0, :, _ZF] = zf[0]

@@ -1,15 +1,19 @@
 """Per-step KPIs: temporal smoothness, handover counting, ZF downlink rates.
 
-`record_step` scores one step as a `MetricsRecord`: the KPIs in KPI_NAMES
-order with NaN where undefined, which is one row of a trial's
-(time_steps, n_alpha, 4) KPI array in the harness and the column order of
-metrics.csv.  It leaves the ZF rate NaN: `zfbf_evaluation` scores a whole
-trial's rows in one call, its subnetworks stacked by shape (K_m, L_m), and
-gives each row the bits a call with that row alone gives.  Two rules keep
-it so: each stack's (K, L_m) channels are gathered F-ordered, as `h[:, bs]`
-is, because BLAS multiplies a C-ordered (K, L_m) matrix by a one-user
-precoder along another path that rounds differently; and a user's
-interference is a running sum in subnetwork order.
+The gain KPIs, `temporal_smoothness`, `handover_count` and `channel.sum_rate`,
+take one row or a stack of rows (gains and `Partition` arrays whose leading
+axes broadcast together) through the same code, and give each row the bits
+it gets alone.  The harness scores a whole trial with one call of each.
+`record_step` is the one-row call: one step as a `MetricsRecord`, the KPIs
+in KPI_NAMES order with NaN where undefined, which is one row of a trial's
+(time_steps, n_alpha, 4) KPI array and the column order of metrics.csv.  It
+leaves the ZF rate NaN: `zfbf_evaluation` scores a whole trial's rows in one
+call, its subnetworks stacked by shape (K_m, L_m), and gives each row the
+bits a call with that row alone gives.  Two rules keep it so: each stack's
+(K, L_m) channels are gathered F-ordered, as `h[:, bs]` is, because BLAS
+multiplies a C-ordered (K, L_m) matrix by a one-user precoder along another
+path that rounds differently; and a user's interference is a running sum in
+subnetwork order.
 
 One SVD per stack gives both the rank test and the precoder.  The precoder
 is `np.linalg.pinv`'s to the bit, built by its arithmetic from the same
@@ -45,8 +49,7 @@ class MetricsRecord(NamedTuple):
 KPI_NAMES = MetricsRecord._fields
 
 
-def temporal_smoothness(gains_prev: np.ndarray, partition_t: Partition,
-                        params: RadioParams) -> float:
+def temporal_smoothness(gains_prev: np.ndarray, partition_t: Partition, params: RadioParams):
     """Current BS grouping scored against the previous step's network state.
 
     The current vertex labels are applied to the previous step's user-to-BS
@@ -54,22 +57,23 @@ def temporal_smoothness(gains_prev: np.ndarray, partition_t: Partition,
     `gains_prev`), and the resulting partition's sum rate is evaluated on
     `gains_prev`.  This matches the cut-based smoothness objective the
     partitioner optimizes, which scores today's labels on yesterday's graph.
+    One row or a stack of rows, as `sum_rate` takes them.
     """
-    if gains_prev.shape[1] != len(partition_t.vertex_labels):
+    labels = partition_t.vertex_labels
+    if gains_prev.shape[-1] != labels.shape[-1]:
         raise ValueError("partition does not match the gains dimensions")
-    prev_anchor = np.argmax(gains_prev, axis=1)
-    prev_view = Partition.from_vertex_labels(partition_t.vertex_labels,
-                                             partition_t.M, prev_anchor)
-    return sum_rate(gains_prev, prev_view, params)
+    prev_assignment = np.take_along_axis(labels, np.argmax(gains_prev, axis=-1), axis=-1)
+    return sum_rate(gains_prev, Partition(labels, partition_t.M, prev_assignment), params)
 
 
-def handover_count(partition_prev: Partition, partition_t: Partition) -> int:
-    """Number of (user, BS) connections present now but not before."""
+def handover_count(partition_prev: Partition, partition_t: Partition):
+    """Number of (user, BS) connections present now but not before, per row
+    of one partition pair or of two stacks of them."""
     prev = partition_prev.connection_matrix()
     cur = partition_t.connection_matrix()
     if prev.shape != cur.shape:
         raise ValueError("partitions cover different network sizes")
-    return int(np.count_nonzero(cur & ~prev))
+    return (cur & ~prev).sum(axis=(-2, -1))
 
 
 @dataclass
@@ -195,7 +199,8 @@ def zfbf_evaluation(channels: np.ndarray, steps: Sequence[int],
 def record_step(time_index: int, gains_t: np.ndarray, partition_t: Partition,
                 params: RadioParams, gains_prev: Optional[np.ndarray] = None,
                 partition_prev: Optional[Partition] = None) -> MetricsRecord:
-    """The gain-based KPIs of one step; the history-based ones are NaN without
+    """The gain-based KPIs of one step, the one-row call of the functions the
+    harness calls on a trial's stack; the history-based ones are NaN without
     history, and the ZF rate is NaN (`zfbf_evaluation` scores it in batches)."""
     # time_index is unused; perfbench/run.py passes it positionally
     return MetricsRecord(

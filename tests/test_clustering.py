@@ -313,7 +313,8 @@ def lloyd_runs(restarts=3):
     root = np.random.SeedSequence(5)
     states = [_ref_restart_rng(root, r).bit_generator.state for r in range(restarts)]
     for rows, m, _ in kmeans_fuzz_inputs():
-        centers, first = clustering._kmeans_pp_centers(rows[None], m, states)
+        centers, first = clustering._kmeans_pp_centers(
+            rows[None], m, states, *clustering._draw_seeding(states, len(rows), m))
         centers = centers[0]
         labels, sse = clustering._lloyd(rows, centers, first[0], 100)
         for r in range(restarts):
@@ -366,7 +367,8 @@ def test_batched_seeding_replays_generator_choice():
     root = np.random.SeedSequence(99)
     states = [_ref_restart_rng(root, r).bit_generator.state for r in range(4)]
     for rows, m, _ in kmeans_fuzz_inputs():
-        centers, _ = clustering._kmeans_pp_centers(rows[None], m, states)
+        centers, _ = clustering._kmeans_pp_centers(
+            rows[None], m, states, *clustering._draw_seeding(states, len(rows), m))
         for r, rng in enumerate(clustering._RESTART_RNGS[:4]):
             ref_rng = _ref_restart_rng(root, r)
             assert np.array_equal(centers[0, r], _ref_kmeans_pp_centers(rows, m, ref_rng))
@@ -439,6 +441,37 @@ def test_stacked_kmeans_matches_one_at_a_time():
             assert np.array_equal(got, _ref_kmeans_rows(rows, m, seed=seed))
 
 
+def test_restart_draws_memo_gives_fresh_numbers(monkeypatch):
+    # the memo keeps one seed's restart draws: whatever order seeds and
+    # shapes come in, every call equals the reference, and a seed equal by
+    # value to the last one, built as its own SeedSequence, is a hit
+    monkeypatch.setattr(clustering, "_last_draws", (None, None))
+    derived = []
+    states = clustering._restart_states
+    monkeypatch.setattr(clustering, "_restart_states",
+                        lambda root: derived.append(root) or states(root))
+    rng = np.random.default_rng(8)
+    rows = rng.normal(size=(24, 4))
+
+    def check(rows, m, seed):
+        assert np.array_equal(kmeans_rows(rows, m, seed=seed),
+                              _ref_kmeans_rows(rows, m, seed=seed))
+
+    seeds = [derive_stream(trial_seed(3, i), STREAM_KMEANS) for i in range(2)]
+    for seed in seeds + seeds[::-1] + [5, seeds[0], 5]:      # interleaved seeds
+        check(rows, 4, seed)
+    assert len(derived) == 6                                 # one hit: seeds[1] twice in a row
+    derived.clear()
+    for _ in range(3):                                       # equal seeds, separate objects
+        check(rows, 4, np.random.SeedSequence(2**40 + 9, spawn_key=(4, STREAM_KMEANS, 0)))
+    assert len(derived) == 1
+    derived.clear()
+    seed = seeds[1]
+    for n, m in ((24, 4), (24, 5), (17, 5), (24, 4), (17, 1), (24, 4)):  # n or M changing
+        check(rows[:n], m, seed)
+    assert len(derived) == 6
+
+
 def test_seeding_labels_are_nearest_seed_by_exact_distances():
     # Lloyd's first assignment comes from the seeding: per pair and row, the
     # first minimum of the exact ((x - c)**2).sum() over that pair's seeds.
@@ -447,7 +480,8 @@ def test_seeding_labels_are_nearest_seed_by_exact_distances():
     inputs = [(rows[None], m, seed) for rows, m, seed in kmeans_fuzz_inputs()]
     for stack, m, seed in inputs + list(stacked_kmeans_inputs()):
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        centers, first = clustering._kmeans_pp_centers(stack, m, clustering._restart_states(root))
+        centers, first = clustering._kmeans_pp_centers(
+            stack, m, *clustering._restart_draws(root, stack.shape[1], m))
         exact = ((stack[:, None, :, None, :] - centers[:, :, None, :, :]) ** 2).sum(axis=-1)
         assert np.array_equal(first, exact.argmin(axis=-1))
 
@@ -475,7 +509,8 @@ def test_desk_scale_lloyd_matches_reference_restart_by_restart():
     # every restart's stopping point, not only the winner's: its labels, and
     # its SSE to the bit, equal the reference's under the SSE-change rule
     for stack, seed in desk_stacks():
-        centers, first = clustering._kmeans_pp_centers(stack, 20, clustering._restart_states(seed))
+        centers, first = clustering._kmeans_pp_centers(
+            stack, 20, *clustering._restart_draws(seed, 50, 20))
         for rows, entry_centers, entry_first in zip(stack, centers, first):
             labels, sse = clustering._lloyd(rows, entry_centers, entry_first, 100)
             for r in range(clustering.KMEANS_RESTARTS):

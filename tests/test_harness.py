@@ -158,6 +158,81 @@ def test_zero_forcing_scores_a_trial_in_one_batch(monkeypatch, time_steps):
     assert (zf[0] == zf[0, 0]).all()
 
 
+GAIN_KPIS = ("sum_rate", "temporal_smoothness", "handover_count")
+
+
+def record_gain_kpis(monkeypatch):
+    """Route the harness's gain-KPI calls through recorders: per function
+    name, the (args, result) of every call."""
+    from cfnet import harness
+    calls = {name: [] for name in GAIN_KPIS}
+
+    def recorder(name, original):
+        def recording(*args):
+            out = original(*args)
+            calls[name].append((args, out))
+            return out
+        return recording
+
+    for name in GAIN_KPIS:
+        monkeypatch.setattr(harness, name, recorder(name, getattr(harness, name)))
+    return calls
+
+
+@pytest.mark.parametrize("time_steps", [1, 2, 5])
+def test_gain_kpis_score_a_trial_in_one_batch(monkeypatch, time_steps):
+    """One call of each gain KPI per trial, on the (step, alpha) grid of
+    partitions, each step's gains broadcast over its alphas: sum rate on
+    every step, the history KPIs on the steps after the bootstrap."""
+    calls = record_gain_kpis(monkeypatch)
+    cfg = dataclasses.replace(SMALL, time_steps=time_steps)
+    run_trial(cfg, trial_seed(cfg.master_seed, 0))
+    grid, later = (time_steps, len(cfg.alpha_grid)), (time_steps - 1, len(cfg.alpha_grid))
+    assert [len(calls[name]) for name in GAIN_KPIS] == [1, 1, 1]
+    (gains, rows, _), rate = calls["sum_rate"][0]
+    assert gains.shape == (time_steps, 1, cfg.K, cfg.L)
+    assert rows.vertex_labels.shape == grid + (cfg.L,) and rate.shape == grid
+    (gains_prev, rows, _), smooth = calls["temporal_smoothness"][0]
+    assert gains_prev.shape == (time_steps - 1, 1, cfg.K, cfg.L) and smooth.shape == later
+    (earlier, rows), handovers = calls["handover_count"][0]
+    assert earlier.vertex_labels.shape == rows.vertex_labels.shape == later + (cfg.L,)
+    assert handovers.shape == later
+
+
+@pytest.mark.parametrize("changes", [{}, {"alpha_grid": (0.0, 0.25, 0.5, 0.9)},
+                                     {"evaluate_zfbf": False}])
+def test_stacked_gain_kpis_equal_one_row_calls(monkeypatch, changes):
+    """On desk trials, every (step, alpha) entry of the stacked calls has the
+    bytes `record_step` gives that row alone, and so has the KPI array."""
+    from cfnet.clustering import Partition
+    from cfnet.metrics import record_step
+    cfg = dataclasses.replace(ExperimentConfig(realizations=2), **changes)
+    radio = cfg.radio_params()
+    for i in range(2):
+        calls = record_gain_kpis(monkeypatch)
+        kpis = run_trial(cfg, trial_seed(cfg.master_seed, i)).kpis
+        (gains, grid, _), _ = calls["sum_rate"][0]
+        stacked = np.stack([calls["sum_rate"][0][1],
+                            np.vstack([np.full(len(cfg.alpha_grid), np.nan),
+                                       calls["temporal_smoothness"][0][1]]),
+                            np.vstack([np.full(len(cfg.alpha_grid), np.nan),
+                                       calls["handover_count"][0][1]])], axis=-1)
+        alphas, anchors = range(len(cfg.alpha_grid)), np.argmax(gains[:, 0], axis=2)
+        parts = [[Partition.from_vertex_labels(grid.vertex_labels[t, a], cfg.M, anchors[t])
+                  for a in alphas] for t in range(cfg.time_steps)]
+        assert all(np.array_equal(parts[t][a].user_assignment, grid.user_assignment[t, a])
+                   for t in range(cfg.time_steps) for a in alphas)
+        alone = np.array([[record_step(0, gains[0, 0], part, radio)[:ZF_RATE]
+                           for part in parts[0]]]
+                         + [[record_step(t, gains[t, 0], parts[t][a], radio,
+                                         gains_prev=gains[t - 1, 0],
+                                         partition_prev=parts[t - 1][a])[:ZF_RATE]
+                             for a in alphas] for t in range(1, cfg.time_steps)])
+        assert stacked.tobytes() == alone.tobytes()
+        assert kpis[:, :, :ZF_RATE].tobytes() == alone.tobytes()
+        assert np.isnan(kpis[:, :, ZF_RATE]).all() != cfg.evaluate_zfbf
+
+
 def test_common_random_numbers_across_alpha_grids():
     # a shared alpha value sees identical randomness whatever else is in the grid
     lone = dataclasses.replace(SMALL, alpha_grid=(0.5,))
