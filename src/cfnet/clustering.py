@@ -306,17 +306,22 @@ _EPS = np.finfo(float).eps
 def _gemm_gap_bound(scale: float, d: int) -> float:
     """Gap from a row's smallest GEMM distance that certifies its label.
 
-    With scale at least ||x|| + max ||c||, the GEMM form
-    ||x||^2 - 2 x.c + ||c||^2 and the exact form ((x - c)**2).sum() each lie
-    within gamma_{d+3} * scale^2 of the true squared distance, in any
-    summation order (gamma_n = n u / (1 - n u), u the unit roundoff).  A gap
-    above four times that leaves one centre nearest in both forms.  A float
-    above fl(smallest + bound) lies above smallest + bound, so the test
-    distance <= fl(smallest + bound) passing for one centre alone certifies
-    it.  The bound grows with scale, so one scale at least every row's, such
-    as max ||x|| + max ||c||, certifies every row it passes.  (2 scale)^2
-    overflows before a GEMM distance can, so such a row is never certified;
-    the last term covers the absolute error of gradual underflow.
+    The GEMM form e = ||c||^2 - 2 x.c leaves out the row's own ||x||^2, a
+    constant that shifts every centre's distance alike and so cancels from
+    every gap between centres.  With scale at least ||x|| + max ||c||, e lies
+    within gamma_{d+1} * scale^2 of its true value (a d-term dot product and
+    a d-term sum of squares, then one addition, bounded by 2 ||x|| ||c|| +
+    ||c||^2 <= scale^2), and the exact form ((x - c)**2).sum() within
+    gamma_{d+2} * scale^2 of the true squared distance, in any summation
+    order (gamma_n = n u / (1 - n u), u the unit roundoff); both lie inside
+    gamma_{d+3} * scale^2.  A gap above four times that leaves one centre
+    nearest in both forms.  A float above fl(smallest + bound) lies above
+    smallest + bound, so the test e <= fl(smallest + bound) passing for one
+    centre alone certifies it.  The bound grows with scale, so one scale at
+    least every row's, such as max ||x|| + max ||c||, certifies every row it
+    passes.  |e| <= scale^2, so (2 scale)^2 overflows before e can, and such
+    a row is never certified; the last term covers the absolute error of
+    gradual underflow.
     """
     nu = (d + 3) * _EPS / 2
     return nu / (1.0 - nu) * (2.0 * scale) ** 2 + d * 2.0 ** -1070
@@ -328,23 +333,26 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, first: np.ndarray, max_iters: 
     `first` is the (R, n) first assignment, each row's nearest seed centre
     by the exact distances ((x - c)**2).sum() (`_kmeans_pp_centers` returns
     it).  Returns (R, n) labels and (R,) SSEs, each restart's equal to a run
-    on its own with exact distances.  Later assignments take their distances
-    from one GEMM over all restarts, and a row is certified when exactly one
-    centre's distance is at most fl(smallest + `_gemm_gap_bound`), at one
-    scale per iteration: max ||x|| + max ||c|| over the rows and the active
-    restarts' centres.  Every other row, NaN, inf and exact GEMM ties
-    included, takes its label from the exact form, so labels do not depend
-    on GEMM rounding.  A restart stops at the first iteration whose labels,
-    after the empty-cluster repair, repeat its previous ones, or at
-    `max_iters`.  Its SSE is scored once, from its final labels and the
+    on its own with exact distances.  Later assignments take their distances,
+    less each row's own ||x||^2, from one GEMM over all restarts, and a row
+    is certified when exactly one centre's distance is at most
+    fl(smallest + `_gemm_gap_bound`), at one scale per iteration:
+    max ||x|| + max ||c|| over the rows and the active restarts' centres.
+    The test is written over the distances as 0.0 and 1.0, whose column sum
+    counts each row's passing centres and whose product with 0..M-1 gives
+    the index of a row's one passing centre.  Every other row, NaN, inf and
+    exact GEMM ties included, takes its label from the exact form, so labels
+    do not depend on GEMM rounding.  A restart stops at the first iteration
+    whose labels, after the empty-cluster repair, repeat its previous ones,
+    or at `max_iters`.  Its SSE is scored once, from its final labels and the
     centroids they give.
     """
     rows = np.ascontiguousarray(rows)
     n, d = rows.shape
     R, M, _ = centers.shape
     cen = centers.transpose(1, 0, 2)     # (M, a, d) for the a active restarts
-    xx = np.einsum("ij,ij->i", rows, rows)
-    xmax = np.sqrt(xx.max())
+    xmax = np.sqrt(np.einsum("ij,ij->i", rows, rows).max())
+    index = np.arange(M, dtype=float)
     xt = -2.0 * rows.T                   # c.xt is -2 x.c to the bit, barring over/underflow
     weights = np.tile(rows.ravel(), R)   # row-major rows of each restart in turn
     offsets = np.arange(R)[:, None]      # restart i's groups are m * a + i
@@ -360,15 +368,16 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, first: np.ndarray, max_iters: 
             if it:
                 prev = lab
                 cc = np.einsum("mrj,mrj->mr", cen, cen)
-                # (M, a * n) GEMM distances; overflow leaves inf or NaN, never certified
+                # (M, a * n) distances less ||x||^2; overflow leaves inf or NaN, never certified
                 dist = (cen.reshape(M * a, d) @ xt).reshape(M, a, n)
-                dist += xx
                 dist += cc[:, :, None]
                 dist = dist.reshape(M, a * n)
-                lab = dist.argmin(axis=0)
                 near = dist.min(axis=0)
                 near += _gemm_gap_bound(xmax + np.sqrt(cc.max()), d)
-                k = np.flatnonzero((dist <= near).sum(axis=0) != 1)
+                # 1.0 where a centre lies within the bound; one such centre is the row's label
+                np.less_equal(dist, near, out=dist)
+                lab = (index @ dist).astype(np.int64)
+                k = np.flatnonzero(dist.sum(axis=0) != 1.0)
                 if k.size:
                     # one centre at a time, so no temporary outgrows the rows taken
                     taken, restart = rows[k % n], k // n

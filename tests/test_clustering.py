@@ -270,10 +270,9 @@ def kmeans_fuzz_inputs():
             # the harness's k-means seed: a nonempty spawn key, entropy up to 2^62
             seed = derive_stream(trial_seed(seed << (i % 32), i), STREAM_KMEANS)
         yield rows, m, seed
-    # hard inputs for the GEMM distances ||x||^2 - 2 x.c + ||c||^2: rows
-    # offset by 1e8 (severe cancellation), rows near 1e155 (||x||^2
-    # overflows, their squared distances do not) and lattice rows (exact
-    # distance ties)
+    # hard inputs for the GEMM distances ||c||^2 - 2 x.c: rows offset by 1e8
+    # (severe cancellation), rows near 1e155 (||x||^2 and ||c||^2 overflow,
+    # their squared distances do not) and lattice rows (exact distance ties)
     for i in range(108):
         n = int(rng.integers(2, 40))
         m = (1, n, int(rng.integers(2, n + 1)))[i % 3]
@@ -341,6 +340,30 @@ def test_lloyd_exact_fallback_matches_certified_path(monkeypatch):
         assert np.array_equal(exact_labels, labels)
         assert np.array_equal(exact_labels, ref_labels)
         assert exact_sse == sse == ref_sse
+
+
+def _offset_inputs():
+    """Rows with a large common offset, where GEMM rounding alone can misorder
+    centres, and rows whose ||x||^2 overflows while their spread does not."""
+    x = np.random.default_rng(31).standard_normal((40, 4))
+    for offset in (1e4, 1e8):
+        for m in (1, 2, 5):
+            yield x + offset, m
+    for m in (1, 2, 5):
+        yield 1e150 * x + 1e160, m
+
+
+def test_kmeans_matches_reference_on_offset_rows(monkeypatch):
+    for rows, m in _offset_inputs():
+        assert np.array_equal(kmeans_rows(rows, m, seed=m),
+                              _ref_kmeans_rows(rows, m, seed=m))
+    # a zero bound certifies every row with one smallest GEMM distance, and
+    # then some offset rows differ from the reference: the matches above rest
+    # on the exact form, not on GEMM rounding that happened to be harmless
+    monkeypatch.setattr(clustering, "_gemm_gap_bound", lambda scale, d: 0.0)
+    assert any(not np.array_equal(kmeans_rows(rows, m, seed=m),
+                                  _ref_kmeans_rows(rows, m, seed=m))
+               for rows, m in _offset_inputs() if np.abs(rows).max() < 1e9)
 
 
 def test_restart_stops_when_the_repair_restores_its_labels(monkeypatch):
