@@ -337,7 +337,8 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, first: np.ndarray, max_iters: 
     less each row's own ||x||^2, from one GEMM over all restarts, and a row
     is certified when exactly one centre's distance is at most
     fl(smallest + `_gemm_gap_bound`), at one scale per iteration:
-    max ||x|| + max ||c|| over the rows and the active restarts' centres.
+    max ||x|| + max ||c|| over the rows and the centres of the restarts
+    still in the batch, carried ones included.
     The test is written over the distances as 0.0 and 1.0, whose column sum
     counts each row's passing centres and whose product with 0..M-1 gives
     the index of a row's one passing centre.  Every other row, NaN, inf and
@@ -346,6 +347,16 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, first: np.ndarray, max_iters: 
     whose labels, after the empty-cluster repair, repeat its previous ones,
     or at `max_iters`.  Its SSE is scored once, from its final labels and the
     centroids they give.
+
+    A stopped restart is carried on in the batch until at least half of the
+    restarts in it have stopped in one iteration; then the batch keeps only
+    those still moving, so each compaction at least halves it, and it ends
+    once none moves.  Carrying changes no bit of a stopped restart: its
+    labels repeated, so the scatter, which sums each group in row order
+    whatever the batch's width, gives its centroids again; its next
+    assignment reads those centroids and gives the exact form's labels,
+    since a larger scale only sends more rows to the exact form; and the
+    empty-cluster repair then acts as it did before.
     """
     rows = np.ascontiguousarray(rows)
     n, d = rows.shape
@@ -354,9 +365,9 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, first: np.ndarray, max_iters: 
     xmax = np.sqrt(np.einsum("ij,ij->i", rows, rows).max())
     index = np.arange(M, dtype=float)
     xt = -2.0 * rows.T                   # c.xt is -2 x.c to the bit, barring over/underflow
-    weights = np.tile(rows.ravel(), R)   # row-major rows of each restart in turn
+    weights = np.broadcast_to(rows.ravel(), (R, n * d)).ravel()   # each restart's rows in turn
     offsets = np.arange(R)[:, None]      # restart i's groups are m * a + i
-    columns = np.tile(np.arange(d), R * n)   # column of each weight, for the scatter index
+    columns = np.arange(d)
     lab = first.copy()                   # the repair below writes into it
     labels = np.empty((R, n), dtype=np.int64)
     final = np.empty((M, R, d))          # each restart's centroids once it stops
@@ -401,20 +412,22 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, first: np.ndarray, max_iters: 
                         counts[m, r] = 1
                 group = lab * a + offsets[:a]
             if it:
-                # repeated labels give the centroids (and SSE) already held
+                # repeated labels give the centroids (and SSE) already held; a
+                # stopped restart is carried, unchanged, until half have stopped
                 moved = (lab != prev).any(axis=1)
-                if not moved.all():
+                moving = np.count_nonzero(moved)
+                if not moving:
+                    break
+                if 2 * moving <= a:
                     done = ~moved
                     labels[act[done]] = lab[done]
                     final[:, act[done]] = cen[:, done]
                     act, lab, cen, counts = act[moved], lab[moved], cen[:, moved], counts[:, moved]
-                    if not act.size:
-                        break
-                    a = act.size
+                    a = moving
                     group = lab * a + offsets[:a]
             # the scatter-add sums each group in row order, as mean(axis=0) of
             # the group's rows does when they have two or more columns
-            sums = np.bincount(np.repeat(group.ravel() * d, d) + columns[:a * n * d],
+            sums = np.bincount((group[:, :, None] * d + columns).ravel(),
                                weights=weights[:a * n * d], minlength=M * a * d)
             cen = sums.reshape(M, a, d) / counts[:, :, None]
     labels[act] = lab
@@ -443,12 +456,13 @@ def kmeans_rows(rows: np.ndarray, M: int, seed=0) -> np.ndarray:
     the exact distances, Lloyd's first assignment.  Then, entry by entry, the
     Lloyd iterations of all restarts run as one batch (see `_lloyd`), each
     restart until its labels repeat or KMEANS_MAX_ITERS iterations, with the
-    labels and SSE of a run on its own; each restart's SSE is scored once,
-    from its final labels.  Per entry, the run with the lowest SSE wins and
-    ties keep the earliest restart.  Labels come from the exact squared
-    distances wherever GEMM rounding could change them, so they do not depend
-    on the BLAS build.  Deterministic given (rows, seed).  Rows must be
-    finite, with squared distances that do not overflow.
+    labels and SSE of a run on its own; a stopped restart is carried on,
+    unchanged, until half of the batch has stopped, and each restart's SSE
+    is scored once, from its final labels.  Per entry, the run with the
+    lowest SSE wins and ties keep the earliest restart.  Labels come from
+    the exact squared distances wherever GEMM rounding could change them, so
+    they do not depend on the BLAS build.  Deterministic given (rows, seed).
+    Rows must be finite, with squared distances that do not overflow.
 
     The restart Generators and the memo of the last seed's draws are module
     state, so two threads must not call this at once; cfnet calls it from

@@ -542,6 +542,55 @@ def test_desk_scale_lloyd_matches_reference_restart_by_restart():
                 assert sse[r] == ref_sse
 
 
+def lloyd_batches():
+    """(rows, centers, first): every fuzz input with all KMEANS_RESTARTS
+    restarts seeded as `kmeans_rows` seeds them, then every entry of the desk
+    stacks."""
+    for rows, m, seed in kmeans_fuzz_inputs():
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        centers, first = clustering._kmeans_pp_centers(
+            rows[None], m, *clustering._restart_draws(root, len(rows), m))
+        yield rows, centers[0], first[0]
+    for stack, seed in desk_stacks():
+        yield from zip(stack, *clustering._kmeans_pp_centers(
+            stack, 20, *clustering._restart_draws(seed, 50, 20)))
+
+
+def test_lloyd_restart_in_a_batch_equals_it_run_alone(monkeypatch):
+    # a restart whose labels repeat is carried on, unchanged, until half of
+    # the active restarts have stopped; each restart's labels and SSE equal
+    # its run alone to the bit.  The batch's width per GEMM assignment (read
+    # from the ||c||^2 einsum) shows some input carrying a stopped restart
+    # past its stop and compacting while other restarts still move
+    widths = []
+    einsum = np.einsum
+
+    def einsum_spy(subscripts, *operands, **kwargs):
+        if subscripts == "mrj,mrj->mr":
+            widths.append(operands[0].shape[1])
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum_spy)
+    carried = compacted = False
+    for rows, centers, first in lloyd_batches():
+        widths.clear()
+        labels, sse = clustering._lloyd(rows, centers, first, 100)
+        batch = widths.copy()
+        stops = []
+        for r in range(len(centers)):
+            widths.clear()
+            alone, alone_sse = clustering._lloyd(rows, centers[r:r + 1], first[r:r + 1], 100)
+            assert alone[0].tobytes() == labels[r].tobytes()
+            assert alone_sse.tobytes() == sse[r:r + 1].tobytes()
+            stops.append(len(widths))         # GEMM assignments up to its stop
+        # restarts still moving at each GEMM assignment; a wider batch carries some
+        live = [sum(stop >= t for stop in stops) for t in range(1, len(batch) + 1)]
+        if any(width > alive for width, alive in zip(batch, live)):
+            carried = True
+            compacted |= min(batch) < len(centers)
+    assert carried and compacted
+
+
 # ---------------------------------------------------------------- pipeline
 
 def test_alpha_one_equals_plain_spectral_clustering():
